@@ -4,8 +4,8 @@ Two mask generators are provided: a channel-squeeze module (global average
 pool -> two dense layers -> sigmoid, one mask value per channel) and a
 group-wise spatial module (per-group saliency, normalized and squashed to a
 per-pixel mask). Both come as single-sample functional ops plus batched
-module objects with explicit backward passes, and a per-stage sharing
-wrapper that lets several blocks reuse one parameter set.
+module objects with explicit backward passes; one module object may serve
+several blocks (per-stage sharing).
 """
 
 from __future__ import annotations
@@ -153,11 +153,7 @@ def sge_attention(x: Tensor, p: SGEParams) -> Tensor:
     x = tensor(x)
     if x.ndim != 3:
         raise ValueError(f"expected a [C,H,W] input, got {x.shape}")
-    module = SGEModule.__new__(SGEModule)
-    module.params = p
-    module.slices = channel_groups(x.shape[0], p.groups)
-    module._cache = []
-    return module.forward(x[None])[0]
+    return SGEModule(x.shape[0], p).forward(x[None])[0]
 
 
 class SGEModule:
@@ -228,7 +224,7 @@ class SGEModule:
 
 
 # ---------------------------------------------------------------------------
-# recalibration and stage sharing
+# recalibration
 # ---------------------------------------------------------------------------
 
 def recalibrate(x_in: Tensor, residual: Tensor, mask: Tensor, connected: int) -> Tensor:
@@ -243,13 +239,3 @@ def recalibrate(x_in: Tensor, residual: Tensor, mask: Tensor, connected: int) ->
         mask = mask[:, :, None, None]
     return x_in + mask * residual
 
-
-@dataclass
-class SharedStageSAM:
-    """One attention module reused by every connected block of a stage."""
-
-    stage_id: int
-    module: SEModule | SGEModule
-
-    def parameters(self):
-        return self.module.parameters()

@@ -40,37 +40,56 @@ def save_checkpoint(path, net, config_digest: str) -> None:
 
 
 def load_checkpoint(path, net, expected_digest: str) -> None:
-    """Overwrite net's parameters in place; net must match the saved layout."""
+    """Overwrite net's parameters in place; net must match the saved layout.
+
+    Every field is read at its exact length, and a short read, trailing
+    bytes or a repeated name is refused before any parameter changes.
+    """
     with open(path, "rb") as fh:
+
+        def read(n: int) -> bytes:
+            chunk = fh.read(n)
+            if len(chunk) != n:
+                raise CheckpointError(f"{path}: truncated checkpoint")
+            return chunk
+
+        def unpack(fmt: str) -> tuple:
+            return struct.unpack(fmt, read(struct.calcsize(fmt)))
+
         if fh.read(len(MAGIC)) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = unpack("<I")
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
-        (dlen,) = struct.unpack("<H", fh.read(2))
-        digest = fh.read(dlen).decode("ascii")
+        (dlen,) = unpack("<H")
+        digest = read(dlen).decode("ascii", "replace")
         if digest != expected_digest:
             raise CheckpointError(
                 f"{path}: config digest mismatch (file {digest[:12]}…, expected {expected_digest[:12]}…)")
-        step_count, pretrained = struct.unpack("<QB", fh.read(9))
-        (nblobs,) = struct.unpack("<I", fh.read(4))
+        step_count, pretrained = unpack("<QB")
+        (nblobs,) = unpack("<I")
         expected = dict(net.named_parameters())
         if nblobs != len(expected):
             raise CheckpointError(
                 f"{path}: {nblobs} blobs but net has {len(expected)} parameters")
+        blobs = {}
         for _ in range(nblobs):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("ascii")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
-            count = int(np.prod(shape)) if shape else 1
-            blob = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape)
+            (nlen,) = unpack("<H")
+            name = read(nlen).decode("ascii", "replace")
             if name not in expected:
                 raise CheckpointError(f"{path}: unexpected parameter {name!r}")
-            param = expected[name]
-            if param.value.shape != shape:
+            if name in blobs:
+                raise CheckpointError(f"{path}: duplicate parameter {name!r}")
+            (ndim,) = unpack("<B")
+            shape = unpack(f"<{ndim}I")
+            value = expected[name].value
+            if value.shape != shape:
                 raise CheckpointError(
-                    f"{path}: {name} has shape {shape}, net expects {param.value.shape}")
-            param.value[...] = blob
+                    f"{path}: {name} has shape {shape}, net expects {value.shape}")
+            blobs[name] = np.frombuffer(read(8 * value.size), dtype="<f8").reshape(shape)
+        if fh.read(1):
+            raise CheckpointError(f"{path}: trailing bytes after the last parameter")
+    for name, blob in blobs.items():
+        expected[name].value[...] = blob
     net.step_count = step_count
     net.pretrained = bool(pretrained)

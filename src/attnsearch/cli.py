@@ -16,13 +16,12 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig
-from .search import (SearchBudget, SupernetEvaluator, all_schemes, ean_search,
+from .search import (SearchBudget, SupernetEvaluator, ean_search,
                      exhaustive_search, ga_search, hsp_scheme,
                      l1_prune_baseline, random_ratio_study)
 from .stats import aggregate_violin
@@ -99,24 +98,20 @@ def _prepare(args) -> tuple[ExperimentConfig, str, str]:
 def _evaluator(cfg: ExperimentConfig, args):
     """Evaluation backend: deterministic synthetic landscape, or the
     weight-shared backbone proxy restored from a checkpoint."""
-    backend = getattr(args, "backend", "synthetic")
-    if backend == "synthetic":
-        return cfg.build_landscape(peaked=getattr(args, "peaked", False)), None
-    if backend == "supernet":
-        if not getattr(args, "checkpoint", None):
-            raise _UsageError("backend 'supernet' needs --checkpoint")
-        net = cfg.build_supernet()
-        load_checkpoint(args.checkpoint, net, cfg.digest())
-        _, val = cfg.build_dataset()
-        return SupernetEvaluator(net, val), net
-    raise _UsageError(f"unknown backend {backend!r}")
+    if args.backend == "synthetic":
+        return cfg.build_landscape()
+    if not args.checkpoint:
+        raise _UsageError("backend 'supernet' needs --checkpoint")
+    net = cfg.build_supernet()
+    load_checkpoint(args.checkpoint, net, cfg.digest())
+    _, val = cfg.build_dataset()
+    return SupernetEvaluator(net, val)
 
 
-def _pmap(workers: int, fn, items):
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _per_ratio(rows) -> dict:
+    """Per-ratio (max, mean, min) accuracy summary, keyed by the ratio's text."""
+    return {str(k): {"max": v[0], "mean": v[1], "min": v[2]}
+            for k, v in aggregate_violin(rows).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +147,8 @@ def cmd_search(args) -> int:
     result = ean_search(evaluator, controller, cfg.reward_config(), budget,
                         cfg.rng("controller-sample"), rnd_pair,
                         cfg.backbone.stage_blocks)
+    if not result.best:
+        raise _UsageError("search budget ended before the first iteration; nothing written")
     write_csv(os.path.join(outdir, "trace.csv"), digest,
               ["iteration", "scheme", "sparse", "g_val", "g_rnd", "reward", "p_bar"],
               [(r.iteration, r.scheme, r.sparse, r.g_val, r.g_rnd, r.reward, r.p_bar)
@@ -173,16 +170,7 @@ def cmd_search(args) -> int:
 
 def cmd_enumerate(args) -> int:
     cfg, outdir, digest = _prepare(args)
-    evaluator, _ = _evaluator(cfg, args)
-    m = cfg.backbone.total_blocks
-    if args.workers > 1:
-        schemes = list(all_schemes(m))
-        if m > 20:
-            raise _UsageError(f"refusing exhaustive enumeration for m={m}")
-        scores = _pmap(args.workers, evaluator, schemes)
-        ranked = sorted(zip(schemes, scores), key=lambda sv: (-sv[1], sv[0].to_string()))
-    else:
-        ranked = exhaustive_search(evaluator, m)
+    ranked = exhaustive_search(_evaluator(cfg, args), cfg.backbone.total_blocks)
     write_csv(os.path.join(outdir, "ranking.csv"), digest,
               ["rank", "scheme", "ones", "ratio", "score"],
               [(i, s.to_string(), s.ones_count, s.ratio, v)
@@ -193,24 +181,18 @@ def cmd_enumerate(args) -> int:
 
 def cmd_study(args) -> int:
     cfg, outdir, digest = _prepare(args)
-    evaluator, _ = _evaluator(cfg, args)
-    m = cfg.backbone.total_blocks
+    evaluator = _evaluator(cfg, args)
     t0 = time.perf_counter()
-    eval_map = map if args.workers <= 1 else \
-        (lambda fn, items: _pmap(args.workers, fn, list(items)))
-    rows = random_ratio_study(evaluator, m, cfg.study.ratios,
+    rows = random_ratio_study(evaluator, cfg.backbone.total_blocks, cfg.study.ratios,
                               cfg.study.samples_per_ratio, cfg.rng("study"),
-                              config=cfg.backbone, eval_map=eval_map)
+                              config=cfg.backbone)
     write_csv(os.path.join(outdir, "study_rows.csv"), digest,
               ["scheme", "ones", "ratio", "accuracy", "extra_params",
                "flop_increment_pct"],
               [(r["scheme"], r["ones"], r["ratio"], r["accuracy"],
                 r["extra_params"], r["flop_increment_pct"]) for r in rows])
-    summary = aggregate_violin(rows)
-    write_json(os.path.join(outdir, "study_summary.json"), digest, {
-        "per_ratio": {str(k): {"max": v[0], "mean": v[1], "min": v[2]}
-                      for k, v in summary.items()},
-    })
+    write_json(os.path.join(outdir, "study_summary.json"), digest,
+               {"per_ratio": _per_ratio(rows)})
     _write_timing(outdir, "study", digest, time.perf_counter() - t0)
     print(f"study rows: {len(rows)} -> {outdir}/study_rows.csv")
     return 0
@@ -222,11 +204,11 @@ def cmd_baseline(args) -> int:
     payload: dict = {"method": args.method}
     if args.method == "hsp":
         scheme = hsp_scheme(args.period, args.offset, m)
-        evaluator, _ = _evaluator(cfg, args)
+        evaluator = _evaluator(cfg, args)
         payload.update(period=args.period, offset=args.offset,
                        scheme=scheme.to_string(), score=float(evaluator(scheme)))
     elif args.method == "ga":
-        evaluator, _ = _evaluator(cfg, args)
+        evaluator = _evaluator(cfg, args)
         generations = args.generations or max(1, cfg.search.iterations // args.population)
         scheme, fit = ga_search(evaluator, m, args.population, generations,
                                 cfg.rng("ga"), cfg.reward_config())
@@ -313,14 +295,9 @@ def cmd_report(args) -> int:
                 f"{cfg.digest()[:12]}…")
     parsed = [{"ratio": float(r["ratio"]), "accuracy": float(r["accuracy"])}
               for r in rows]
-    summary = aggregate_violin(parsed)
     out = args.out or os.path.join(os.path.dirname(args.rows) or ".",
                                    "report_summary.json")
-    write_json(out, digest, {
-        "per_ratio": {str(k): {"max": v[0], "mean": v[1], "min": v[2]}
-                      for k, v in summary.items()},
-        "rows": len(parsed),
-    })
+    write_json(out, digest, {"per_ratio": _per_ratio(parsed), "rows": len(parsed)})
     print(f"report over {len(parsed)} rows -> {out}")
     return 0
 
@@ -338,8 +315,6 @@ def build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--output-dir", default=None,
                        help="override the config's output directory")
-        p.add_argument("--workers", type=int, default=1,
-                       help="parallel evaluation workers where supported")
 
     p = sub.add_parser("pretrain", help="pre-train the weight-shared backbone")
     common(p)
@@ -406,10 +381,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, CheckpointError, OSError) as exc:
+    except (_UsageError, ValueError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

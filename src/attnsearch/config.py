@@ -21,7 +21,7 @@ from .nncore import OptimizerConfig
 from .rewards import RewardConfig, RNDPair
 from .rngstreams import named_rng
 from .supernet import BackboneConfig, SupernetState
-from .search import PeakedLandscape, SyntheticLandscape
+from .search import SyntheticLandscape
 
 ENV_SEED = "ATTNSEARCH_SEED"
 
@@ -118,9 +118,7 @@ class ExperimentConfig:
             if f.name not in raw:
                 continue
             value = raw[f.name]
-            if f.name == "backbone":
-                value = _backbone_from_dict(value)
-            elif f.name in _SECTION_TYPES:
+            if f.name in _SECTION_TYPES:
                 value = _section_from_dict(_SECTION_TYPES[f.name], value, f.name)
             kwargs[f.name] = value
         cfg = cls(**kwargs)
@@ -137,9 +135,7 @@ class ExperimentConfig:
     # -- identity -----------------------------------------------------------
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["backbone"] = dataclasses.asdict(self.backbone)
-        return _listify(out)
+        return _listify(dataclasses.asdict(self))
 
     def digest(self) -> str:
         payload = self.to_dict()
@@ -197,14 +193,12 @@ class ExperimentConfig:
         r = self.rewards
         return RewardConfig(r.lambda_spa, r.lambda_val, r.lambda_rnd, r.normalize_rnd)
 
-    def build_landscape(self, peaked: bool = False):
-        m = self.backbone.total_blocks
-        if peaked:
-            return PeakedLandscape(m, self.seed)
-        return SyntheticLandscape(m, self.seed)
+    def build_landscape(self) -> SyntheticLandscape:
+        return SyntheticLandscape(self.backbone.total_blocks, self.seed)
 
 
 _SECTION_TYPES = {
+    "backbone": BackboneConfig,
     "dataset": DatasetSpec,
     "supernet": SupernetSpec,
     "controller": ControllerSpec,
@@ -220,21 +214,13 @@ def _section_from_dict(cls, raw: dict, section: str):
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
-    fixed = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
-    return cls(**fixed)
+    return cls(**{k: _tuplify(v) for k, v in raw.items()})
 
 
-def _backbone_from_dict(raw: dict) -> BackboneConfig:
-    known = {f.name for f in dataclasses.fields(BackboneConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown keys in config section 'backbone': {sorted(unknown)}")
-    fixed = dict(raw)
-    if "stages" in fixed:
-        fixed["stages"] = tuple(tuple(s) for s in fixed["stages"])
-    if "input_shape" in fixed:
-        fixed["input_shape"] = tuple(fixed["input_shape"])
-    return BackboneConfig(**fixed)
+def _tuplify(obj):
+    if isinstance(obj, list):
+        return tuple(_tuplify(v) for v in obj)
+    return obj
 
 
 def _listify(obj):

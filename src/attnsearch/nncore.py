@@ -289,23 +289,6 @@ class Tanh:
         return []
 
 
-class Sigmoid:
-    def __init__(self) -> None:
-        self._out = None
-
-    def forward(self, x, train: bool = False):
-        out = sigmoid(x)
-        if train:
-            self._out = out
-        return out
-
-    def backward(self, dout):
-        return dout * self._out * (1.0 - self._out)
-
-    def parameters(self):
-        return []
-
-
 class GlobalAvgPool:
     """[N,C,H,W] -> [N,C] spatial mean."""
 

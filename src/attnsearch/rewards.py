@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nncore import Dense, OptimizerConfig, Sequential, Tanh, sgd_momentum_step
-from .supernet import ConnectionScheme, SupernetState, evaluate_scheme
+from .supernet import ConnectionScheme
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,6 @@ class RewardBundle:
 def sparsity_reward(scheme: ConnectionScheme) -> float:
     """1 - (connected blocks / total blocks), in [0,1]."""
     return 1.0 - scheme.ones_count / len(scheme)
-
-
-def validation_reward(net: SupernetState, scheme: ConnectionScheme, val_set) -> float:
-    """Proxy accuracy of the gated subnetwork, as a fraction in [0,1]."""
-    return evaluate_scheme(net, scheme, val_set)
 
 
 class RNDPair:

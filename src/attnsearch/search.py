@@ -236,16 +236,14 @@ def sample_fixed_ones(m: int, ones: int, rng: np.random.Generator) -> Connection
 
 
 def random_ratio_study(evaluator, m: int, ratios, samples_per_ratio: int,
-                       rng: np.random.Generator, config=None,
-                       eval_map=map) -> list[dict]:
+                       rng: np.random.Generator, config=None) -> list[dict]:
     """Uniform samples among schemes with exactly round(ratio*m) ones.
 
     When a bucket holds no more than samples_per_ratio distinct schemes the
     whole bucket is enumerated instead, so the reported per-ratio maximum is
     exact there. Rows carry (scheme, ones, ratio, accuracy, extra_params,
     flop_increment_pct); the cost columns are zero without a backbone config.
-    All sampling happens before evaluation, so `eval_map` may be a parallel
-    map over the read-only evaluator.
+    All sampling happens before evaluation.
     """
     from itertools import combinations
     from math import comb
@@ -264,14 +262,13 @@ def random_ratio_study(evaluator, m: int, ratios, samples_per_ratio: int,
         else:
             sampled.extend((ratio, ones, sample_fixed_ones(m, ones, rng))
                            for _ in range(samples_per_ratio))
-    accuracies = list(eval_map(evaluator, [s for _, _, s in sampled]))
     rows = []
-    for (ratio, ones, scheme), accuracy in zip(sampled, accuracies):
+    for ratio, ones, scheme in sampled:
         row = {
             "scheme": scheme.to_string(),
             "ones": ones,
             "ratio": ratio,
-            "accuracy": float(accuracy),
+            "accuracy": float(evaluator(scheme)),
             "extra_params": 0,
             "flop_increment_pct": 0.0,
         }

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (SEModule, SEParams, SGEModule, SGEParams,
+from .attention import (SEModule, SEParams, SGEModule, SGEParams, recalibrate,
                         se_param_count, sge_param_count)
 from .data import Dataset
 from .nncore import (Conv2d, Dense, GlobalAvgPool, OptimizerConfig, ReLU,
@@ -146,16 +146,10 @@ class ResidualBlock:
 
     def forward(self, x, connected: int, train: bool = False):
         f = self.conv2.forward(self.relu.forward(self.conv1.forward(x, train), train), train)
-        if connected:
-            mask = self.sam.forward(f, train)
-            mfull = mask[:, :, None, None] if mask.ndim == 2 else mask
-            out = x + mfull * f
-        else:
-            mask = None
-            out = x + f
+        mask = self.sam.forward(f, train) if connected else None
         if train:
             self._cache = (f, mask)
-        return out
+        return recalibrate(x, f, mask, connected)
 
     def backward(self, dout):
         f, mask = self._cache
@@ -360,6 +354,24 @@ def sample_bernoulli_scheme(beta: float, m: int, rng: np.random.Generator,
     return ConnectionScheme(bits, stage_blocks)
 
 
+def _train_loop(net: SupernetState, train_set: Dataset, next_scheme, steps: int,
+                batch_size: int, opt: OptimizerConfig | None,
+                lr_drop_step: int | None, lr_drop_factor: float) -> None:
+    """`steps` SGD steps; each draws its scheme from `next_scheme()`, then its batch."""
+    if len(train_set) == 0:
+        raise ValueError("training set is empty")
+    opt = opt or OptimizerConfig(0.1, 0.9, 1e-4)
+    n = len(train_set)
+    for step in range(int(steps)):
+        scheme = next_scheme()
+        idx = net.data_rng.integers(0, n, size=batch_size)
+        lr = opt.learning_rate
+        if lr_drop_step is not None and step >= lr_drop_step:
+            lr = opt.learning_rate * lr_drop_factor
+        net.train_step(train_set.images[idx], train_set.labels[idx], scheme,
+                       OptimizerConfig(lr, opt.momentum, opt.weight_decay))
+
+
 def pretrain_supernet(net: SupernetState, train_set: Dataset, beta: float, steps: int,
                       batch_size: int = 16,
                       opt: OptimizerConfig | None = None,
@@ -370,19 +382,10 @@ def pretrain_supernet(net: SupernetState, train_set: Dataset, beta: float, steps
     Attention parameters of blocks disconnected in a step are untouched by
     that step (no gradient, no momentum drift, no decay).
     """
-    if len(train_set) == 0:
-        raise ValueError("training set is empty")
-    opt = opt or OptimizerConfig(0.1, 0.9, 1e-4)
     m = net.total_blocks
-    n = len(train_set)
-    for step in range(int(steps)):
-        scheme = sample_bernoulli_scheme(beta, m, net.mask_rng, net.config.stage_blocks)
-        idx = net.data_rng.integers(0, n, size=batch_size)
-        lr = opt.learning_rate
-        if lr_drop_step is not None and step >= lr_drop_step:
-            lr = opt.learning_rate * lr_drop_factor
-        net.train_step(train_set.images[idx], train_set.labels[idx], scheme,
-                       OptimizerConfig(lr, opt.momentum, opt.weight_decay))
+    _train_loop(net, train_set,
+                lambda: sample_bernoulli_scheme(beta, m, net.mask_rng, net.config.stage_blocks),
+                steps, batch_size, opt, lr_drop_step, lr_drop_factor)
     if steps > 0:
         net.pretrained = True
     return net
@@ -394,17 +397,8 @@ def train_with_scheme(net: SupernetState, train_set: Dataset, scheme: Connection
                       lr_drop_step: int | None = None,
                       lr_drop_factor: float = 0.1) -> SupernetState:
     """Train under one fixed scheme (standalone training of a subnetwork)."""
-    if len(train_set) == 0:
-        raise ValueError("training set is empty")
-    opt = opt or OptimizerConfig(0.1, 0.9, 1e-4)
-    n = len(train_set)
-    for step in range(int(steps)):
-        idx = net.data_rng.integers(0, n, size=batch_size)
-        lr = opt.learning_rate
-        if lr_drop_step is not None and step >= lr_drop_step:
-            lr = opt.learning_rate * lr_drop_factor
-        net.train_step(train_set.images[idx], train_set.labels[idx], scheme,
-                       OptimizerConfig(lr, opt.momentum, opt.weight_decay))
+    _train_loop(net, train_set, lambda: scheme, steps, batch_size, opt,
+                lr_drop_step, lr_drop_factor)
     return net
 
 
@@ -414,6 +408,16 @@ def evaluate_scheme(net: SupernetState, scheme: ConnectionScheme, val_set: Datas
         raise ValueError("validation set is empty")
     logits = net.forward(val_set.images, scheme, train=False)
     return float((logits.argmax(axis=1) == val_set.labels).mean())
+
+
+def _blocks(config: BackboneConfig):
+    """(block index, stage index, channels, (H, W)) for every residual block."""
+    spatial = config.stage_spatial()
+    bi = 0
+    for si, (nblocks, ch) in enumerate(config.stages):
+        for _ in range(int(nblocks)):
+            yield bi, si, ch, spatial[si]
+            bi += 1
 
 
 def count_params(config: BackboneConfig, scheme: ConnectionScheme) -> tuple[int, int]:
@@ -426,22 +430,11 @@ def count_params(config: BackboneConfig, scheme: ConnectionScheme) -> tuple[int,
             backbone += ch * channels[si - 1] * 9 + ch
         backbone += int(nblocks) * 2 * (ch * ch * 9 + ch)
     backbone += config.classes * channels[-1] + config.classes
-    extra = 0
-    if config.sharing == "per-stage":
-        bi = 0
-        for si, (nblocks, ch) in enumerate(config.stages):
-            bits = scheme.bits[bi:bi + int(nblocks)]
-            if bits.any():
-                extra += config.sam_param_count(ch)
-            bi += int(nblocks)
-    else:
-        bi = 0
-        for nblocks, ch in config.stages:
-            for _ in range(int(nblocks)):
-                if scheme.bits[bi]:
-                    extra += config.sam_param_count(ch)
-                bi += 1
-    return backbone, extra
+    # one attention module per connected block, or per stage with a connected block
+    shared = config.sharing == "per-stage"
+    owners = {si if shared else bi: ch
+              for bi, si, ch, _ in _blocks(config) if scheme.bits[bi]}
+    return backbone, sum(config.sam_param_count(ch) for ch in owners.values())
 
 
 def base_flops(config: BackboneConfig) -> int:
@@ -467,19 +460,15 @@ def extra_flops(config: BackboneConfig, scheme: ConnectionScheme) -> int:
     ops 2*H*W per group, recalibration C*H*W.
     """
     total = 0
-    spatial = config.stage_spatial()
-    bi = 0
-    for si, (nblocks, ch) in enumerate(config.stages):
-        sh, sw = spatial[si]
-        for _ in range(int(nblocks)):
-            if scheme.bits[bi]:
-                if config.sam == "se":
-                    hidden = ch // config.reduction
-                    total += 2 * ch * hidden + hidden + ch + ch * sh * sw
-                else:
-                    ngroups = sge_param_count(ch, config.groups) // 2
-                    total += ch * sh * sw + 2 * sh * sw * ngroups + ch * sh * sw
-            bi += 1
+    for bi, _, ch, (sh, sw) in _blocks(config):
+        if not scheme.bits[bi]:
+            continue
+        if config.sam == "se":
+            hidden = ch // config.reduction
+            total += 2 * ch * hidden + hidden + ch + ch * sh * sw
+        else:
+            ngroups = sge_param_count(ch, config.groups) // 2
+            total += ch * sh * sw + 2 * sh * sw * ngroups + ch * sh * sw
     return total
 
 

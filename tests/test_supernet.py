@@ -379,6 +379,34 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="not a checkpoint"):
             load_checkpoint(path, small_net(34), "a" * 64)
 
+    def test_every_truncation_and_trailing_byte_refused(self, tmp_path):
+        tiny = BackboneConfig(stages=((1, 2), (1, 2)), input_shape=(1, 3, 3), classes=2,
+                              sam="se", reduction=2)
+        path = tmp_path / "tiny.ckpt"
+        save_checkpoint(path, small_net(40, tiny), "e" * 64)
+        blob = path.read_bytes()
+        net = small_net(41, tiny)
+        before = [p.value.copy() for _, p in net.named_parameters()]
+        for bad in [blob[:cut] for cut in range(len(blob))] + [blob + b"\0"]:
+            path.write_bytes(bad)
+            with pytest.raises(CheckpointError) as info:
+                load_checkpoint(path, net, "e" * 64)
+            assert str(info.value).startswith(f"{path}: ")
+        for b, (_, p) in zip(before, net.named_parameters()):
+            np.testing.assert_array_equal(b, p.value)
+        assert net.step_count == 0 and not net.pretrained
+
+    def test_duplicate_name_refused(self, tmp_path):
+        from types import SimpleNamespace
+        # same blob count and shapes as a valid file; one name written twice
+        pairs = [("block0.conv1.bias" if name == "block0.conv2.bias" else name, p)
+                 for name, p in small_net(42).named_parameters()]
+        fake = SimpleNamespace(named_parameters=lambda: pairs, step_count=0, pretrained=False)
+        path = tmp_path / "dup.ckpt"
+        save_checkpoint(path, fake, "e" * 64)
+        with pytest.raises(CheckpointError, match="duplicate parameter 'block0.conv1.bias'"):
+            load_checkpoint(path, small_net(42), "e" * 64)
+
     def test_byte_identical_across_reruns(self, tmp_path):
         data = make_blob_dataset(3, 10, (1, 6, 6), 0.3, np.random.default_rng(35))
         blobs = []
@@ -389,6 +417,63 @@ class TestCheckpoint:
             save_checkpoint(path, net, "c" * 64)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def reference_pretrain(net, train_set, beta, steps, batch_size, opt, lr_drop_step,
+                       lr_drop_factor):
+    """The masked pre-training loop written out step by step."""
+    m, n = net.total_blocks, len(train_set)
+    for step in range(steps):
+        scheme = sample_bernoulli_scheme(beta, m, net.mask_rng, net.config.stage_blocks)
+        idx = net.data_rng.integers(0, n, size=batch_size)
+        lr = opt.learning_rate * (lr_drop_factor if step >= lr_drop_step else 1.0)
+        net.train_step(train_set.images[idx], train_set.labels[idx], scheme,
+                       OptimizerConfig(lr, opt.momentum, opt.weight_decay))
+    if steps > 0:
+        net.pretrained = True
+
+
+def reference_fixed(net, train_set, scheme, steps, batch_size, opt, lr_drop_step,
+                    lr_drop_factor):
+    """The fixed-scheme training loop written out step by step."""
+    n = len(train_set)
+    for step in range(steps):
+        idx = net.data_rng.integers(0, n, size=batch_size)
+        lr = opt.learning_rate * (lr_drop_factor if step >= lr_drop_step else 1.0)
+        net.train_step(train_set.images[idx], train_set.labels[idx], scheme,
+                       OptimizerConfig(lr, opt.momentum, opt.weight_decay))
+
+
+class TestTrainingLoopPinned:
+    OPT = OptimizerConfig(0.05, 0.9, 1e-3)
+
+    def assert_same_state(self, a, b):
+        for (na, pa), (nb, pb) in zip(a.named_parameters(), b.named_parameters()):
+            assert na == nb
+            np.testing.assert_array_equal(pa.value, pb.value)
+            np.testing.assert_array_equal(pa.momentum, pb.momentum)
+        assert (a.step_count, a.pretrained) == (b.step_count, b.pretrained)
+        assert a.mask_rng.bit_generator.state == b.mask_rng.bit_generator.state
+        assert a.data_rng.bit_generator.state == b.data_rng.bit_generator.state
+
+    @pytest.mark.parametrize("sharing", ["per-block", "per-stage"])
+    def test_pretrain_matches_reference(self, sharing):
+        cfg = BackboneConfig(stages=((2, 4), (2, 6)), input_shape=(1, 6, 6), classes=3,
+                             sam="se", reduction=2, sharing=sharing)
+        data = make_blob_dataset(3, 12, (1, 6, 6), 0.3, np.random.default_rng(43))
+        net, ref = small_net(44, cfg), small_net(44, cfg)
+        pretrain_supernet(net, data, 0.5, 9, 4, self.OPT, 5, 0.1)
+        reference_pretrain(ref, data, 0.5, 9, 4, self.OPT, 5, 0.1)
+        self.assert_same_state(net, ref)
+
+    def test_fixed_scheme_matches_reference(self):
+        data = make_blob_dataset(3, 12, (1, 6, 6), 0.3, np.random.default_rng(45))
+        scheme = ConnectionScheme([1, 0, 0, 1])
+        net, ref = small_net(46), small_net(46)
+        train_with_scheme(net, data, scheme, 9, 4, self.OPT, 5, 0.1)
+        reference_fixed(ref, data, scheme, 9, 4, self.OPT, 5, 0.1)
+        self.assert_same_state(net, ref)
+        assert not net.pretrained
 
 
 class TestStandaloneTraining:
