@@ -3,7 +3,7 @@ cost accounting used in study reports."""
 
 import numpy as np
 
-from attnsearch.attention import (SEParams, SGEParams, se_attention,
+from attnsearch.attention import (SEModule, SGEModule, se_attention,
                                   se_param_count, sge_attention)
 from attnsearch.supernet import (BackboneConfig, ConnectionScheme, base_flops,
                                  count_params, extra_flops)
@@ -11,14 +11,14 @@ from attnsearch.supernet import (BackboneConfig, ConnectionScheme, base_flops,
 rng = np.random.default_rng(0)
 feat = rng.random((8, 6, 6))
 
-se = SEParams.init(channels=8, reduction=4, rng=rng)
+se = SEModule(channels=8, reduction=4, rng=rng)
 mask = se_attention(feat, se)
 print("channel-squeeze mask (one value per channel):")
 print(" ", np.round(mask, 3))
 print(f"  parameters: {se.param_count()} "
       f"(closed form {se_param_count(8, 4)})")
 
-sge = SGEParams.init(channels=8, groups=2)
+sge = SGEModule(channels=8, groups=2)
 spatial = sge_attention(feat, sge)
 print(f"\ngroup-wise mask shape {spatial.shape}, per-group scale/shift "
       f"-> {sge.param_count()} parameters")

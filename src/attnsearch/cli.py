@@ -46,8 +46,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _ensure_dir(path):
+    """Create the directory `path` goes into and return `path`. Directories
+    appear only at a file's first write, so a command that fails early
+    leaves nothing behind."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return path
+
+
 def write_csv(path, digest: str, columns, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_ensure_dir(path), "w", encoding="utf-8") as fh:
         fh.write(f"# config_digest={digest}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
@@ -76,23 +84,21 @@ def read_csv(path) -> tuple[str, list[dict]]:
 def write_json(path, digest: str, payload: dict) -> None:
     body = {"config_digest": digest}
     body.update(payload)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_ensure_dir(path), "w", encoding="utf-8") as fh:
         json.dump(body, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def _write_timing(outdir, name: str, digest: str, elapsed: float) -> None:
     path = os.path.join(outdir, f"{name}_timing.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_ensure_dir(path), "w", encoding="utf-8") as fh:
         json.dump({"config_digest": digest, "elapsed_seconds": elapsed}, fh, indent=2)
         fh.write("\n")
 
 
 def _prepare(args) -> tuple[ExperimentConfig, str, str]:
     cfg = ExperimentConfig.from_file(args.config)
-    outdir = args.output_dir or cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    return cfg, outdir, cfg.digest()
+    return cfg, args.output_dir or cfg.output_dir, cfg.digest()
 
 
 def _evaluator(cfg: ExperimentConfig, args):
@@ -102,8 +108,13 @@ def _evaluator(cfg: ExperimentConfig, args):
         return cfg.build_landscape()
     if not args.checkpoint:
         raise _UsageError("backend 'supernet' needs --checkpoint")
+    return _supernet_evaluator(cfg, args.checkpoint)
+
+
+def _supernet_evaluator(cfg: ExperimentConfig, checkpoint) -> SupernetEvaluator:
+    """The backbone restored from `checkpoint`, scored on the validation split."""
     net = cfg.build_supernet()
-    load_checkpoint(args.checkpoint, net, cfg.digest())
+    load_checkpoint(checkpoint, net, cfg.digest())
     _, val = cfg.build_dataset()
     return SupernetEvaluator(net, val)
 
@@ -127,7 +138,7 @@ def cmd_pretrain(args) -> int:
     pretrain_supernet(net, train, s.beta, s.steps, s.batch_size,
                       cfg.supernet_optimizer(), s.lr_drop_step, s.lr_drop_factor)
     out = args.out or os.path.join(outdir, "supernet.ckpt")
-    save_checkpoint(out, net, digest)
+    save_checkpoint(_ensure_dir(out), net, digest)
     _write_timing(outdir, "pretrain", digest, time.perf_counter() - t0)
     print(f"checkpoint written: {out} ({s.steps} steps, beta={s.beta})")
     return 0
@@ -135,16 +146,13 @@ def cmd_pretrain(args) -> int:
 
 def cmd_search(args) -> int:
     cfg, outdir, digest = _prepare(args)
-    net = cfg.build_supernet()
-    load_checkpoint(args.checkpoint, net, digest)
-    _, val = cfg.build_dataset()
-    evaluator = SupernetEvaluator(net, val)
+    evaluator = _supernet_evaluator(cfg, args.checkpoint)
     controller = cfg.build_controller()
     rnd_pair = cfg.build_rnd_pair()
     budget = SearchBudget(cfg.search.iterations, cfg.search.evaluations,
                           cfg.search.wallclock_seconds)
     t0 = time.perf_counter()
-    result = ean_search(evaluator, controller, cfg.reward_config(), budget,
+    result = ean_search(evaluator, controller, cfg.rewards, budget,
                         cfg.rng("controller-sample"), rnd_pair,
                         cfg.backbone.stage_blocks)
     if not result.best:
@@ -211,19 +219,17 @@ def cmd_baseline(args) -> int:
         evaluator = _evaluator(cfg, args)
         generations = args.generations or max(1, cfg.search.iterations // args.population)
         scheme, fit = ga_search(evaluator, m, args.population, generations,
-                                cfg.rng("ga"), cfg.reward_config())
+                                cfg.rng("ga"), cfg.rewards)
         payload.update(population=args.population, generations=generations,
                        scheme=scheme.to_string(), fitness=fit,
                        score=float(evaluator(scheme)))
     else:  # l1
         if not args.checkpoint:
             raise _UsageError("baseline l1 needs --checkpoint")
-        net = cfg.build_supernet()
-        load_checkpoint(args.checkpoint, net, digest)
-        scheme = l1_prune_baseline(net, args.keep_ratio)
-        _, val = cfg.build_dataset()
+        evaluator = _supernet_evaluator(cfg, args.checkpoint)
+        scheme = l1_prune_baseline(evaluator.net, args.keep_ratio)
         payload.update(keep_ratio=args.keep_ratio, scheme=scheme.to_string(),
-                       score=SupernetEvaluator(net, val)(scheme))
+                       score=evaluator(scheme))
     write_json(os.path.join(outdir, f"baseline_{args.method}.json"), digest, payload)
     print(f"baseline {args.method}: scheme {payload['scheme']}")
     return 0

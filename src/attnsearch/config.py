@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import typing
 from dataclasses import dataclass, field
 
 from .controller import ControllerState
@@ -61,14 +62,6 @@ class ControllerSpec:
 
 
 @dataclass(frozen=True)
-class RewardSpec:
-    lambda_spa: float = 0.5
-    lambda_val: float = 1.0
-    lambda_rnd: float = 0.1
-    normalize_rnd: bool = False
-
-
-@dataclass(frozen=True)
 class SearchSpec:
     iterations: int = 300
     evaluations: int | None = None
@@ -79,6 +72,11 @@ class SearchSpec:
 class StudySpec:
     ratios: tuple = (0.25, 0.5, 0.75)
     samples_per_ratio: int = 20
+
+    def __post_init__(self) -> None:
+        if not all(isinstance(r, (int, float)) and not isinstance(r, bool) and 0 <= r <= 1
+                   for r in self.ratios):
+            raise ValueError(f"study ratios must be numbers in [0, 1], got {list(self.ratios)}")
 
 
 @dataclass(frozen=True)
@@ -100,10 +98,16 @@ class ExperimentConfig:
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     supernet: SupernetSpec = field(default_factory=SupernetSpec)
     controller: ControllerSpec = field(default_factory=ControllerSpec)
-    rewards: RewardSpec = field(default_factory=RewardSpec)
+    rewards: RewardConfig = field(default_factory=RewardConfig)
     search: SearchSpec = field(default_factory=SearchSpec)
     study: StudySpec = field(default_factory=StudySpec)
     theory: TheorySpec = field(default_factory=TheorySpec)
+
+    def __post_init__(self) -> None:
+        # generated datasets label 0..classes-1, and every label needs a logit
+        if self.dataset.kind != "csv" and self.dataset.classes > self.backbone.classes:
+            raise ValueError(f"dataset has {self.dataset.classes} classes but the backbone "
+                             f"only {self.backbone.classes}")
 
     # -- construction -------------------------------------------------------
 
@@ -114,12 +118,15 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = {}
+        hints = typing.get_type_hints(cls)
         for f in dataclasses.fields(cls):
             if f.name not in raw:
                 continue
             value = raw[f.name]
             if f.name in _SECTION_TYPES:
                 value = _section_from_dict(_SECTION_TYPES[f.name], value, f.name)
+            else:
+                _check_type(f.name, value, hints[f.name])
             kwargs[f.name] = value
         cfg = cls(**kwargs)
         env_seed = os.environ.get(ENV_SEED)
@@ -189,10 +196,6 @@ class ExperimentConfig:
             return None
         return RNDPair(self.backbone.total_blocks, self.rng("rnd-init"))
 
-    def reward_config(self) -> RewardConfig:
-        r = self.rewards
-        return RewardConfig(r.lambda_spa, r.lambda_val, r.lambda_rnd, r.normalize_rnd)
-
     def build_landscape(self) -> SyntheticLandscape:
         return SyntheticLandscape(self.backbone.total_blocks, self.seed)
 
@@ -202,7 +205,7 @@ _SECTION_TYPES = {
     "dataset": DatasetSpec,
     "supernet": SupernetSpec,
     "controller": ControllerSpec,
-    "rewards": RewardSpec,
+    "rewards": RewardConfig,
     "search": SearchSpec,
     "study": StudySpec,
     "theory": TheorySpec,
@@ -210,11 +213,33 @@ _SECTION_TYPES = {
 
 
 def _section_from_dict(cls, raw: dict, section: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - known
+    if not isinstance(raw, dict):
+        raise ValueError(f"config section {section!r} must be an object, got {raw!r}")
+    fields = dataclasses.fields(cls)
+    unknown = set(raw) - {f.name for f in fields}
     if unknown:
         raise ValueError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
+    missing = [f.name for f in fields if f.name not in raw
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"config section {section!r} is missing {missing}")
+    hints = typing.get_type_hints(cls)
+    for k, v in raw.items():
+        _check_type(f"{section}.{k}", v, hints[k])
     return cls(**{k: _tuplify(v) for k, v in raw.items()})
+
+
+# JSON value types each field annotation accepts; a JSON integer is a valid float
+_JSON_TYPES = {int: int, float: (int, float), bool: bool, str: str,
+               tuple: (list, tuple), type(None): type(None)}
+
+
+def _check_type(name: str, value, hint) -> None:
+    kinds = typing.get_args(hint) or (hint,)
+    ok = any(isinstance(value, _JSON_TYPES[k]) for k in kinds)
+    if not ok or (isinstance(value, bool) and bool not in kinds):
+        allowed = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+        raise ValueError(f"config field {name!r} must be {allowed}, got {value!r}")
 
 
 def _tuplify(obj):

@@ -38,10 +38,6 @@ class SupernetEvaluator:
     def pretrained(self) -> bool:
         return self.net.pretrained
 
-    @property
-    def m(self) -> int:
-        return self.net.total_blocks
-
     def __call__(self, scheme: ConnectionScheme) -> float:
         return evaluate_scheme(self.net, scheme, self.val_set)
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .attention import (SEModule, SEParams, SGEModule, SGEParams, recalibrate,
+from .attention import (SEModule, SGEModule, channel_groups, recalibrate,
                         se_param_count, sge_param_count)
 from .data import Dataset
 from .nncore import (Conv2d, Dense, GlobalAvgPool, OptimizerConfig, ReLU,
@@ -96,8 +97,13 @@ class BackboneConfig:
     groups: int = 2
 
     def __post_init__(self) -> None:
-        if not self.stages or any(int(b) < 1 for b, _ in self.stages):
-            raise ValueError("every stage needs at least one block")
+        pairs = all(isinstance(stage, (tuple, list)) and len(stage) == 2
+                    and all(isinstance(v, Integral) and not isinstance(v, bool) and v >= 1
+                            for v in stage)
+                    for stage in self.stages)
+        if not self.stages or not pairs:
+            raise ValueError("every stage needs a (blocks, channels) pair of positive "
+                             f"integers, got {self.stages!r}")
         if self.sam not in ("se", "sge"):
             raise ValueError(f"unknown attention kind {self.sam!r}")
         if self.sharing not in ("per-block", "per-stage"):
@@ -153,13 +159,7 @@ class ResidualBlock:
 
     def backward(self, dout):
         f, mask = self._cache
-        if mask is not None:
-            mfull = mask[:, :, None, None] if mask.ndim == 2 else mask
-            dmask_full = dout * f
-            dmask = dmask_full.sum(axis=(2, 3)) if mask.ndim == 2 else dmask_full
-            df = mfull * dout + self.sam.backward(dmask)
-        else:
-            df = dout
+        df = dout if mask is None else mask * dout + self.sam.backward(dout * f)
         dx = self.conv1.backward(self.relu.backward(self.conv2.backward(df)))
         return dout + dx
 
@@ -179,34 +179,36 @@ class SupernetState:
         c_in = config.input_shape[0]
         channels = config.stage_channels
         self.stem = Sequential(Conv2d(c_in, channels[0], 3, 1, 1, init_rng), ReLU())
+        # every layer in forward order; backward walks it reversed
+        self.layers = [self.stem]
         self.transitions = []
         self.blocks = []
-        self.block_stage = []
+        block_stage = []
         for si, (nblocks, ch) in enumerate(config.stages):
             if si > 0:
                 self.transitions.append(
                     Sequential(Conv2d(channels[si - 1], ch, 3, 2, 1, init_rng), ReLU()))
+                self.layers.append(self.transitions[-1])
             for _ in range(int(nblocks)):
                 self.blocks.append(ResidualBlock(ch, init_rng))
-                self.block_stage.append(si)
+                self.layers.append(self.blocks[-1])
+                block_stage.append(si)
         if config.sharing == "per-stage":
             stage_sams = [self._make_sam(ch, init_rng) for ch in channels]
-            for b, block in enumerate(self.blocks):
-                block.sam = stage_sams[self.block_stage[b]]
-            self.stage_sams = stage_sams
+            for block, si in zip(self.blocks, block_stage):
+                block.sam = stage_sams[si]
         else:
-            for b, block in enumerate(self.blocks):
-                block.sam = self._make_sam(config.stage_channels[self.block_stage[b]], init_rng)
-            self.stage_sams = None
-        self.pool = GlobalAvgPool()
+            for block, si in zip(self.blocks, block_stage):
+                block.sam = self._make_sam(channels[si], init_rng)
         self.fc = Dense(channels[-1], config.classes, init_rng)
+        self.layers += [GlobalAvgPool(), self.fc]
         self.step_count = 0
         self.pretrained = False
 
     def _make_sam(self, channels: int, rng: np.random.Generator):
         if self.config.sam == "se":
-            return SEModule(SEParams.init(channels, self.config.reduction, rng))
-        return SGEModule(channels, SGEParams.init(channels, self.config.groups))
+            return SEModule(channels, self.config.reduction, rng)
+        return SGEModule(channels, self.config.groups)
 
     # -- forward / backward ------------------------------------------------
 
@@ -221,27 +223,19 @@ class SupernetState:
 
     def forward(self, x, scheme: ConnectionScheme, train: bool = False):
         self._check_scheme(scheme)
-        h = self.stem.forward(x, train)
-        bi = 0
-        for si, (nblocks, _) in enumerate(self.config.stages):
-            if si > 0:
-                h = self.transitions[si - 1].forward(h, train)
-            for _ in range(int(nblocks)):
-                h = self.blocks[bi].forward(h, int(scheme.bits[bi]), train)
-                bi += 1
-        return self.fc.forward(self.pool.forward(h, train), train)
+        bits = iter(scheme.bits)
+        for layer in self.layers:
+            if isinstance(layer, ResidualBlock):
+                x = layer.forward(x, int(next(bits)), train)
+            else:
+                x = layer.forward(x, train)
+        return x
 
     def backward(self, dlogits):
-        d = self.pool.backward(self.fc.backward(dlogits))
-        bi = self.total_blocks
-        for si in range(len(self.config.stages) - 1, -1, -1):
-            nblocks = int(self.config.stages[si][0])
-            for _ in range(nblocks):
-                bi -= 1
-                d = self.blocks[bi].backward(d)
-            if si > 0:
-                d = self.transitions[si - 1].backward(d)
-        return self.stem.backward(d)
+        grad = dlogits
+        for layer in reversed(self.layers):
+            grad = layer.backward(grad)
+        return grad
 
     def loss_and_grads(self, x, y, scheme: ConnectionScheme) -> float:
         logits = self.forward(x, scheme, train=True)
@@ -315,23 +309,12 @@ class SupernetState:
                       (f"block{bi}.conv1.bias", b.conv1.bias),
                       (f"block{bi}.conv2.kernel", b.conv2.kernel),
                       (f"block{bi}.conv2.bias", b.conv2.bias)]
-        if self.config.sharing == "per-stage":
-            for si, sam in enumerate(self.stage_sams):
-                pairs += _sam_named(f"stage{si}.sam", sam)
-        else:
-            for bi, b in enumerate(self.blocks):
-                pairs += _sam_named(f"block{bi}.sam", b.sam)
+        # per-stage sharing yields one module per stage, in stage order
+        owner = "stage" if self.config.sharing == "per-stage" else "block"
+        for i, sam in enumerate(self.sam_modules()):
+            pairs += [(f"{owner}{i}.sam.{name}", p) for name, p in sam.named_parameters()]
         pairs += [("fc.weight", self.fc.weight), ("fc.bias", self.fc.bias)]
         return pairs
-
-
-def _sam_named(prefix: str, sam):
-    if isinstance(sam, SEModule):
-        p = sam.params
-        return [(f"{prefix}.w1", p.w1), (f"{prefix}.b1", p.b1),
-                (f"{prefix}.w2", p.w2), (f"{prefix}.b2", p.b2)]
-    p = sam.params
-    return [(f"{prefix}.gamma", p.gamma), (f"{prefix}.beta", p.beta)]
 
 
 # ---------------------------------------------------------------------------
@@ -420,16 +403,20 @@ def _blocks(config: BackboneConfig):
             bi += 1
 
 
+def _convs(config: BackboneConfig):
+    """(c_in, c_out, output pixels) for every 3x3 conv, in forward order."""
+    c_prev = config.input_shape[0]
+    for (nblocks, ch), (h, w) in zip(config.stages, config.stage_spatial()):
+        yield c_prev, ch, h * w  # stem, then each stage's stride-2 transition
+        for _ in range(2 * int(nblocks)):
+            yield ch, ch, h * w
+        c_prev = ch
+
+
 def count_params(config: BackboneConfig, scheme: ConnectionScheme) -> tuple[int, int]:
     """(backbone parameter count, extra attention parameters under `scheme`)."""
-    c_in = config.input_shape[0]
-    channels = config.stage_channels
-    backbone = channels[0] * c_in * 9 + channels[0]
-    for si, (nblocks, ch) in enumerate(config.stages):
-        if si > 0:
-            backbone += ch * channels[si - 1] * 9 + ch
-        backbone += int(nblocks) * 2 * (ch * ch * 9 + ch)
-    backbone += config.classes * channels[-1] + config.classes
+    backbone = sum(c_out * c_in * 9 + c_out for c_in, c_out, _ in _convs(config))
+    backbone += config.classes * config.stage_channels[-1] + config.classes
     # one attention module per connected block, or per stage with a connected block
     shared = config.sharing == "per-stage"
     owners = {si if shared else bi: ch
@@ -439,17 +426,8 @@ def count_params(config: BackboneConfig, scheme: ConnectionScheme) -> tuple[int,
 
 def base_flops(config: BackboneConfig) -> int:
     """Backbone multiply count (conv/dense MACs; pooling additions excluded)."""
-    c_in, h, w = config.input_shape
-    channels = config.stage_channels
-    spatial = config.stage_spatial()
-    total = h * w * channels[0] * c_in * 9
-    for si, (nblocks, ch) in enumerate(config.stages):
-        sh, sw = spatial[si]
-        if si > 0:
-            total += sh * sw * ch * channels[si - 1] * 9
-        total += int(nblocks) * 2 * sh * sw * ch * ch * 9
-    total += config.classes * channels[-1]
-    return total
+    convs = sum(pixels * c_out * c_in * 9 for c_in, c_out, pixels in _convs(config))
+    return convs + config.classes * config.stage_channels[-1]
 
 
 def extra_flops(config: BackboneConfig, scheme: ConnectionScheme) -> int:
@@ -467,7 +445,7 @@ def extra_flops(config: BackboneConfig, scheme: ConnectionScheme) -> int:
             hidden = ch // config.reduction
             total += 2 * ch * hidden + hidden + ch + ch * sh * sw
         else:
-            ngroups = sge_param_count(ch, config.groups) // 2
+            ngroups = len(channel_groups(ch, config.groups))
             total += ch * sh * sw + 2 * sh * sw * ngroups + ch * sh * sw
     return total
 

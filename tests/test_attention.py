@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from attnsearch.attention import (SEModule, SEParams, SGEModule, SGEParams,
-                                  channel_groups, recalibrate, se_attention,
-                                  se_param_count, sge_attention, sge_param_count)
+from attnsearch.attention import (SEModule, SGEModule, channel_groups, recalibrate,
+                                  se_attention, se_param_count, sge_attention,
+                                  sge_param_count)
 from attnsearch.nncore import grad_check
 
 
@@ -40,7 +40,7 @@ def sge_reference(x, p):
 
 class TestSEAttention:
     def test_zero_params_give_half(self):
-        p = SEParams.init(8, 4, np.random.default_rng(0))
+        p = SEModule(8, 4, np.random.default_rng(0))
         for prm in p.parameters():
             prm.value[...] = 0.0
         mask = se_attention(np.random.default_rng(1).random((8, 3, 3)), p)
@@ -48,7 +48,7 @@ class TestSEAttention:
 
     def test_depends_only_on_channel_means(self):
         rng = np.random.default_rng(2)
-        p = SEParams.init(4, 2, rng)
+        p = SEModule(4, 2, rng)
         x = rng.standard_normal((4, 3, 4))
         perm = rng.permutation(12)
         shuffled = x.reshape(4, -1)[:, perm].reshape(4, 3, 4)
@@ -57,25 +57,25 @@ class TestSEAttention:
 
     def test_matches_reference_formula(self):
         rng = np.random.default_rng(3)
-        p = SEParams.init(8, 4, rng)
+        p = SEModule(8, 4, rng)
         x = rng.standard_normal((8, 5, 5))
         np.testing.assert_allclose(se_attention(x, p), se_reference(x, p), atol=1e-12)
 
     def test_mask_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(4)
-        p = SEParams.init(6, 2, rng)
+        p = SEModule(6, 2, rng)
         for _ in range(20):
             mask = se_attention(rng.standard_normal((6, 4, 4)) * 3, p)
             assert np.all(mask > 0) and np.all(mask < 1)
 
     def test_channel_mismatch(self):
-        p = SEParams.init(8, 4, np.random.default_rng(5))
+        p = SEModule(8, 4, np.random.default_rng(5))
         with pytest.raises(ValueError, match="channels"):
             se_attention(np.zeros((4, 3, 3)), p)
 
     def test_param_count_formula_matches_allocation(self):
         for c, r in [(8, 4), (16, 4), (32, 8), (6, 2)]:
-            p = SEParams.init(c, r, np.random.default_rng(6))
+            p = SEModule(c, r, np.random.default_rng(6))
             assert p.param_count() == se_param_count(c, r)
 
     def test_count_example(self):
@@ -84,12 +84,12 @@ class TestSEAttention:
 
     def test_reduction_too_large(self):
         with pytest.raises(ValueError, match="reduction"):
-            SEParams.init(4, 8, np.random.default_rng(7))
+            SEModule(4, 8, np.random.default_rng(7))
 
 
 class TestSGEAttention:
     def test_spatially_constant_input(self):
-        p = SGEParams.init(4, 2)
+        p = SGEModule(4, 2)
         p.beta.value[:] = 0.7
         x = np.ones((4, 3, 3)) * 2.5
         mask = sge_attention(x, p)
@@ -98,7 +98,7 @@ class TestSGEAttention:
 
     def test_zero_gamma_ignores_input(self):
         rng = np.random.default_rng(8)
-        p = SGEParams.init(4, 2)
+        p = SGEModule(4, 2)
         p.gamma.value[:] = 0.0
         p.beta.value[:] = -0.3
         mask = sge_attention(rng.standard_normal((4, 5, 5)), p)
@@ -106,7 +106,7 @@ class TestSGEAttention:
 
     def test_matches_reference_formula(self):
         rng = np.random.default_rng(9)
-        p = SGEParams.init(4, 2)
+        p = SGEModule(4, 2)
         p.gamma.value[:] = rng.standard_normal(2)
         p.beta.value[:] = rng.standard_normal(2)
         x = rng.standard_normal((4, 3, 3))
@@ -114,7 +114,7 @@ class TestSGEAttention:
 
     def test_too_many_groups(self):
         with pytest.raises(ValueError, match="groups"):
-            SGEParams.init(2, 5)
+            SGEModule(2, 5)
 
     def test_uneven_grouping_trailing_smaller(self):
         slices = channel_groups(10, 4)
@@ -169,17 +169,16 @@ class _MaskSum:
 class TestModuleBackward:
     def test_se_module_matches_finite_differences(self):
         rng = np.random.default_rng(14)
-        module = SEModule(SEParams.init(6, 2, rng))
+        module = SEModule(6, 2, rng)
         x = rng.standard_normal((2, 6, 4, 4))
-        weights = rng.standard_normal((2, 6))
+        weights = rng.standard_normal((2, 6, 1, 1))
         assert grad_check(_MaskSum(module, weights), x, 1e-5) < 1e-6
 
     def test_sge_module_matches_finite_differences(self):
         rng = np.random.default_rng(15)
-        params = SGEParams.init(6, 3)
-        params.gamma.value[:] = rng.standard_normal(3)
-        params.beta.value[:] = rng.standard_normal(3)
-        module = SGEModule(6, params)
+        module = SGEModule(6, 3)
+        module.gamma.value[:] = rng.standard_normal(3)
+        module.beta.value[:] = rng.standard_normal(3)
         x = rng.standard_normal((2, 6, 4, 4))
         weights = rng.standard_normal((2, 6, 4, 4))
         assert grad_check(_MaskSum(module, weights), x, 1e-5) < 1e-6

@@ -60,6 +60,7 @@ class TestPretrainAndSearch:
         rc = run("search", "--config", tiny_config,
                  "--checkpoint", tmp_path / "other" / "supernet.ckpt")
         assert rc == 1
+        assert not (tmp_path / "out").exists()
 
     def test_byte_identical_reruns(self, tiny_config, tmp_path):
         out = tmp_path / "out"
@@ -85,19 +86,19 @@ class TestPretrainAndSearch:
         assert run("search", "--config", path, "--checkpoint", ckpt) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: search budget") and err.count("\n") == 1
-        assert list((tmp_path / "zero").iterdir()) == []
+        assert not (tmp_path / "zero").exists()
 
     @pytest.mark.parametrize("damage", ["truncate", "trailing"])
     def test_search_refuses_damaged_checkpoint(self, tiny_config, tmp_path, capsys, damage):
-        ckpt = tmp_path / "out" / "supernet.ckpt"
-        assert run("pretrain", "--config", tiny_config) == 0
+        ckpt = tmp_path / "p" / "supernet.ckpt"
+        assert run("pretrain", "--config", tiny_config, "--output-dir", tmp_path / "p") == 0
         blob = ckpt.read_bytes()
         ckpt.write_bytes(blob[:len(blob) // 2] if damage == "truncate" else blob + b"junk")
         capsys.readouterr()
         assert run("search", "--config", tiny_config, "--checkpoint", ckpt) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
-        assert not (tmp_path / "out" / "trace.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_zero_steps_checkpoint_equals_initialization(self, tmp_path):
         cfg = dict(TINY, output_dir=str(tmp_path / "o"))
@@ -217,3 +218,22 @@ class TestErrors:
     def test_supernet_backend_needs_checkpoint(self, tiny_config):
         assert run("enumerate", "--config", tiny_config,
                    "--backend", "supernet") == 1
+
+    @pytest.mark.parametrize("section, patch, message", [
+        ("supernet", {"steps": "3"}, "'supernet.steps' must be int, got '3'"),
+        ("backbone", {"stages": [[2, 4], [2, 0]]}, "(blocks, channels) pair"),
+        ("backbone", {"stages": None}, "'backbone' is missing ['stages']"),
+        ("backbone", {"classes": 2}, "dataset has 3 classes but the backbone only 2"),
+        ("study", {"ratios": ["a"]}, "study ratios must be numbers in [0, 1]"),
+    ], ids=["string-steps", "zero-channels", "no-stages", "class-mismatch", "ratio-text"])
+    def test_bad_config_exits_1_with_one_line(self, tmp_path, capsys, section, patch, message):
+        cfg = dict(TINY, output_dir=str(tmp_path / "o"))
+        cfg[section] = {k: v for k, v in {**TINY.get(section, {}), **patch}.items()
+                        if v is not None}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert run("pretrain", "--config", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "o").exists()

@@ -6,7 +6,7 @@ import pytest
 from attnsearch.attention import se_attention
 from attnsearch.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from attnsearch.data import Dataset, make_blob_dataset
-from attnsearch.nncore import OptimizerConfig
+from attnsearch.nncore import OptimizerConfig, grad_check
 from attnsearch.supernet import (BackboneConfig, ConnectionScheme, SupernetState,
                                  base_flops, count_params, evaluate_scheme,
                                  extra_flops, flop_increment_pct,
@@ -56,7 +56,7 @@ def full_sa_forward(net, x):
         for _ in range(int(nblocks)):
             blk = net.blocks[bi]
             f = blk.conv2.forward(np.maximum(blk.conv1.forward(h), 0.0))
-            masks = np.stack([se_attention(f[n], blk.sam.params)
+            masks = np.stack([se_attention(f[n], blk.sam)
                               for n in range(f.shape[0])])
             h = h + masks[:, :, None, None] * f
             bi += 1
@@ -265,6 +265,38 @@ class TestSharedStage:
                 flat[i] = orig
                 numeric = (lp - lm) / (2 * eps)
                 assert abs(numeric - gflat[i]) < 1e-4 * max(1.0, abs(numeric))
+
+
+class _NetLoss:
+    """Cross-entropy of a fixed batch under a fixed scheme, for grad_check."""
+
+    def __init__(self, net, labels, scheme):
+        self.net, self.labels, self.scheme = net, labels, scheme
+
+    def parameters(self):
+        return self.net.all_parameters()
+
+    def loss(self, x):
+        return self.net.loss_and_grads(x, self.labels, self.scheme)
+
+
+class TestWholeNetGradient:
+    @pytest.mark.parametrize("sam", ["se", "sge"])
+    @pytest.mark.parametrize("sharing", ["per-block", "per-stage"])
+    def test_loss_and_grads_match_finite_differences(self, sam, sharing):
+        # at 3x3 inputs the SGE check reads ~3e-3 from finite-difference
+        # curvature alone, so the input stays at 5x5
+        cfg = BackboneConfig(stages=((2, 2), (1, 2)), input_shape=(1, 5, 5), classes=3,
+                             sam=sam, sharing=sharing, reduction=2, groups=2)
+        net = SupernetState(cfg, 50)
+        rng = np.random.default_rng(51)
+        if sam == "sge":
+            for module in net.sam_modules():
+                module.gamma.value[:] = rng.standard_normal(module.gamma.size)
+                module.beta.value[:] = rng.standard_normal(module.beta.size)
+        x = rng.standard_normal((2, 1, 5, 5))
+        model = _NetLoss(net, np.array([0, 2]), ConnectionScheme.from_string("110"))
+        assert grad_check(model, x, 1e-5) < 1e-4
 
 
 class TestAccounting:
