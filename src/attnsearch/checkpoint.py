@@ -3,10 +3,13 @@
 Layout: magic, version, config digest, step counter, then named parameter
 blobs as little-endian float64. Loading refuses a digest mismatch so stale
 checkpoints cannot silently pair with a different experiment config.
+Every output file, checkpoints included, is written through `open_atomic`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -19,9 +22,29 @@ class CheckpointError(Exception):
     pass
 
 
+@contextlib.contextmanager
+def open_atomic(path, mode: str = "w"):
+    """Write `<path>.tmp`, then move it onto `path` in one `os.replace`.
+
+    The directory `path` goes into is created here, so a command that fails
+    before its first write leaves nothing behind. If the block raises, the
+    temp file is removed and an existing `path` keeps its old bytes.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path, net, config_digest: str) -> None:
     pairs = net.named_parameters()
-    with open(path, "wb") as fh:
+    with open_atomic(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         digest_b = config_digest.encode("ascii")

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, open_atomic, save_checkpoint
 from .config import ExperimentConfig
 from .search import (SearchBudget, SupernetEvaluator, ean_search,
                      exhaustive_search, ga_search, hsp_scheme,
@@ -46,16 +46,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _ensure_dir(path):
-    """Create the directory `path` goes into and return `path`. Directories
-    appear only at a file's first write, so a command that fails early
-    leaves nothing behind."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    return path
-
-
 def write_csv(path, digest: str, columns, rows) -> None:
-    with open(_ensure_dir(path), "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         fh.write(f"# config_digest={digest}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
@@ -84,14 +76,14 @@ def read_csv(path) -> tuple[str, list[dict]]:
 def write_json(path, digest: str, payload: dict) -> None:
     body = {"config_digest": digest}
     body.update(payload)
-    with open(_ensure_dir(path), "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         json.dump(body, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def _write_timing(outdir, name: str, digest: str, elapsed: float) -> None:
     path = os.path.join(outdir, f"{name}_timing.json")
-    with open(_ensure_dir(path), "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         json.dump({"config_digest": digest, "elapsed_seconds": elapsed}, fh, indent=2)
         fh.write("\n")
 
@@ -138,7 +130,7 @@ def cmd_pretrain(args) -> int:
     pretrain_supernet(net, train, s.beta, s.steps, s.batch_size,
                       cfg.supernet_optimizer(), s.lr_drop_step, s.lr_drop_factor)
     out = args.out or os.path.join(outdir, "supernet.ckpt")
-    save_checkpoint(_ensure_dir(out), net, digest)
+    save_checkpoint(out, net, digest)
     _write_timing(outdir, "pretrain", digest, time.perf_counter() - t0)
     print(f"checkpoint written: {out} ({s.steps} steps, beta={s.beta})")
     return 0
@@ -153,8 +145,7 @@ def cmd_search(args) -> int:
                           cfg.search.wallclock_seconds)
     t0 = time.perf_counter()
     result = ean_search(evaluator, controller, cfg.rewards, budget,
-                        cfg.rng("controller-sample"), rnd_pair,
-                        cfg.backbone.stage_blocks)
+                        cfg.rng("controller-sample"), rnd_pair)
     if not result.best:
         raise _UsageError("search budget ended before the first iteration; nothing written")
     write_csv(os.path.join(outdir, "trace.csv"), digest,

@@ -167,6 +167,11 @@ class ExperimentConfig:
             if not spec.csv_path:
                 raise ValueError("dataset.kind 'csv' needs dataset.csv_path")
             full = load_csv(spec.csv_path, tuple(spec.shape))
+            # every label needs a logit; a negative one would index from the end
+            bad = full.labels[(full.labels < 0) | (full.labels >= self.backbone.classes)]
+            if bad.size:
+                raise ValueError(f"{spec.csv_path}: label {bad[0]} is not a class of the "
+                                 f"backbone's {self.backbone.classes}")
         else:
             raise ValueError(f"unknown dataset kind {spec.kind!r}")
         if full.sample_shape != tuple(self.backbone.input_shape):

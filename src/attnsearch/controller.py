@@ -75,13 +75,13 @@ def realized_probabilities(probs: np.ndarray, scheme: ConnectionScheme) -> np.nd
     return np.where(scheme.bits == 1, probs, 1.0 - probs)
 
 
-def sample_and_score(probs: np.ndarray, rng: np.random.Generator,
-                     stage_blocks=None) -> tuple[ConnectionScheme, np.ndarray, float]:
+def sample_and_score(probs: np.ndarray,
+                     rng: np.random.Generator) -> tuple[ConnectionScheme, np.ndarray, float]:
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1 or np.any(probs <= 0.0) or np.any(probs >= 1.0):
         raise ValueError("probabilities must lie strictly inside (0,1)")
     bits = (rng.random(probs.size) < probs).astype(np.int64)
-    scheme = ConnectionScheme(bits, stage_blocks)
+    scheme = ConnectionScheme(bits)
     p_hat = realized_probabilities(probs, scheme)
     return scheme, p_hat, float(np.log(p_hat).sum())
 

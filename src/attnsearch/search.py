@@ -18,9 +18,11 @@ import numpy as np
 from .controller import (ControllerState, RolloutTuple, controller_forward,
                          mean_prob, ppo_update, reinforce_update,
                          sample_and_score)
-from .rewards import RewardConfig, RNDPair, reward_bundle, rnd_train_step, sparsity_reward
+from .rewards import (RewardConfig, RNDPair, combined_reward, reward_bundle,
+                      rnd_train_step, sparsity_reward)
 from .rngstreams import named_rng
-from .supernet import ConnectionScheme, SupernetState, evaluate_scheme
+from .supernet import (ConnectionScheme, SupernetState, evaluate_scheme,
+                       sample_bernoulli_scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +76,7 @@ class PeakedLandscape:
                  height: float = 0.9, tau: float = 1.0) -> None:
         rng = named_rng(seed, "peaked-landscape")
         self.m = m
-        self.peak = ConnectionScheme((rng.random(m) < 0.5).astype(np.int64))
+        self.peak = sample_bernoulli_scheme(0.5, m, rng)
         self.floor = floor
         self.height = height
         self.tau = tau
@@ -99,11 +101,11 @@ class SearchBudget:
                 and self.wallclock_seconds is None:
             raise ValueError("at least one budget cap must be finite")
 
-    def exhausted(self, iteration: int, evaluations: int, started: float) -> bool:
-        if self.iterations is not None and iteration >= self.iterations:
-            return True
-        if self.evaluations is not None and evaluations >= self.evaluations:
-            return True
+    def exhausted(self, iteration: int, started: float) -> bool:
+        """One scheme is evaluated per iteration, so both counts cap `iteration`."""
+        for cap in (self.iterations, self.evaluations):
+            if cap is not None and iteration >= cap:
+                return True
         if self.wallclock_seconds is not None \
                 and time.perf_counter() - started >= self.wallclock_seconds:
             return True
@@ -162,8 +164,7 @@ def classify_ticket(scheme_accuracy: float, full_accuracy: float,
 
 def ean_search(evaluator, controller: ControllerState, rewards: RewardConfig,
                budget: SearchBudget, rng: np.random.Generator,
-               rnd_pair: RNDPair | None = None,
-               stage_blocks=None) -> SearchResult:
+               rnd_pair: RNDPair | None = None) -> SearchResult:
     """Sample schemes from the controller, reward, ascend, replay.
 
     Per iteration: forward the controller, sample one scheme, compute the
@@ -179,15 +180,13 @@ def ean_search(evaluator, controller: ControllerState, rewards: RewardConfig,
     if rewards.lambda_rnd > 0 and rnd_pair is None:
         raise ValueError("lambda_rnd > 0 requires an RNDPair")
     started = time.perf_counter()
-    evaluations = 0
     iteration = 0
     best: dict[ConnectionScheme, float] = {}
     trace: list[TraceRow] = []
-    while not budget.exhausted(iteration, evaluations, started):
+    while not budget.exhausted(iteration, started):
         probs = controller_forward(controller)
-        scheme, p_hat, _ = sample_and_score(probs, rng, stage_blocks)
+        scheme, p_hat, _ = sample_and_score(probs, rng)
         g_val = float(evaluator(scheme))
-        evaluations += 1
         bundle = reward_bundle(rewards, scheme, g_val, rnd_pair)
         reinforce_update(controller, scheme, p_hat, bundle.combined)
         controller.buffer.append(RolloutTuple(probs.copy(), scheme, bundle.combined))
@@ -299,12 +298,11 @@ def ga_search(evaluator, m: int, population: int, generations: int,
 
     def fitness(scheme: ConnectionScheme) -> float:
         if scheme not in cache:
-            cache[scheme] = (rewards.lambda_spa * sparsity_reward(scheme)
-                             + rewards.lambda_val * float(evaluator(scheme)))
+            cache[scheme] = combined_reward(rewards, sparsity_reward(scheme),
+                                            float(evaluator(scheme)), 0.0)
         return cache[scheme]
 
-    pop = [ConnectionScheme((rng.random(m) < 0.5).astype(np.int64))
-           for _ in range(population)]
+    pop = [sample_bernoulli_scheme(0.5, m, rng) for _ in range(population)]
     best_scheme, best_fit = None, -np.inf
     for _ in range(generations):
         fits = [fitness(s) for s in pop]
@@ -349,4 +347,4 @@ def l1_prune_baseline(net: SupernetState, keep_ratio: float) -> ConnectionScheme
     if keep:
         order = np.lexsort((np.arange(m), -norms))  # ties keep the earlier block
         bits[order[:keep]] = 1
-    return ConnectionScheme(bits, net.config.stage_blocks)
+    return ConnectionScheme(bits)

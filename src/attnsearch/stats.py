@@ -6,30 +6,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
-
-from .supernet import ConnectionScheme
-
-
-@dataclass
-class SchemeSet:
-    schemes: list[ConnectionScheme]
-    label: str = "other"  # "ticket" | "bad" | "other"
-
-    def __post_init__(self) -> None:
-        if not self.schemes:
-            raise ValueError("scheme set must be nonempty")
-        lengths = {len(s) for s in self.schemes}
-        if len(lengths) != 1:
-            raise ValueError(f"mixed scheme lengths {sorted(lengths)}")
 
 
 def connection_score(schemes) -> np.ndarray:
     """Per-block connection frequency across the set, in [0,1]^m."""
-    if isinstance(schemes, SchemeSet):
-        schemes = schemes.schemes
     schemes = list(schemes)
     if not schemes:
         raise ValueError("scheme set must be nonempty")

@@ -29,36 +29,29 @@ class ConnectionScheme:
     string are ignored so per-stage groupings parse too.
     """
 
-    __slots__ = ("bits", "stage_blocks")
+    __slots__ = ("bits",)
 
-    def __init__(self, bits, stage_blocks=None) -> None:
+    def __init__(self, bits) -> None:
         arr = np.asarray(bits, dtype=np.int64).copy()
         if arr.ndim != 1 or not np.isin(arr, (0, 1)).all():
             raise ValueError("scheme bits must form a flat 0/1 vector")
-        if stage_blocks is not None:
-            stage_blocks = tuple(int(b) for b in stage_blocks)
-            if sum(stage_blocks) != arr.size:
-                raise ValueError(
-                    f"stage blocks {stage_blocks} do not sum to {arr.size} bits"
-                )
         arr.setflags(write=False)
         self.bits = arr
-        self.stage_blocks = stage_blocks
 
     @classmethod
-    def from_string(cls, text: str, stage_blocks=None) -> "ConnectionScheme":
+    def from_string(cls, text: str) -> "ConnectionScheme":
         digits = text.replace(" ", "")
         if not digits or set(digits) - {"0", "1"}:
             raise ValueError(f"not a 0/1 digit string: {text!r}")
-        return cls([int(ch) for ch in digits], stage_blocks)
+        return cls([int(ch) for ch in digits])
 
     @classmethod
-    def zeros(cls, m: int, stage_blocks=None) -> "ConnectionScheme":
-        return cls(np.zeros(m, dtype=np.int64), stage_blocks)
+    def zeros(cls, m: int) -> "ConnectionScheme":
+        return cls(np.zeros(m, dtype=np.int64))
 
     @classmethod
-    def ones(cls, m: int, stage_blocks=None) -> "ConnectionScheme":
-        return cls(np.ones(m, dtype=np.int64), stage_blocks)
+    def ones(cls, m: int) -> "ConnectionScheme":
+        return cls(np.ones(m, dtype=np.int64))
 
     def to_string(self) -> str:
         return "".join("1" if b else "0" for b in self.bits)
@@ -114,10 +107,6 @@ class BackboneConfig:
     @property
     def total_blocks(self) -> int:
         return sum(int(b) for b, _ in self.stages)
-
-    @property
-    def stage_blocks(self) -> tuple:
-        return tuple(int(b) for b, _ in self.stages)
 
     @property
     def stage_channels(self) -> tuple:
@@ -321,20 +310,10 @@ class SupernetState:
 # operations
 # ---------------------------------------------------------------------------
 
-def forward_with_scheme(net: SupernetState, x, scheme: ConnectionScheme):
-    """Logits for a [C,H,W] sample or an [N,C,H,W] batch under a scheme."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3:
-        return net.forward(x[None], scheme, train=False)[0]
-    return net.forward(x, scheme, train=False)
-
-
-def sample_bernoulli_scheme(beta: float, m: int, rng: np.random.Generator,
-                            stage_blocks=None) -> ConnectionScheme:
+def sample_bernoulli_scheme(beta: float, m: int, rng: np.random.Generator) -> ConnectionScheme:
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0,1]")
-    bits = (rng.random(m) < beta).astype(np.int64)
-    return ConnectionScheme(bits, stage_blocks)
+    return ConnectionScheme((rng.random(m) < beta).astype(np.int64))
 
 
 def _train_loop(net: SupernetState, train_set: Dataset, next_scheme, steps: int,
@@ -367,7 +346,7 @@ def pretrain_supernet(net: SupernetState, train_set: Dataset, beta: float, steps
     """
     m = net.total_blocks
     _train_loop(net, train_set,
-                lambda: sample_bernoulli_scheme(beta, m, net.mask_rng, net.config.stage_blocks),
+                lambda: sample_bernoulli_scheme(beta, m, net.mask_rng),
                 steps, batch_size, opt, lr_drop_step, lr_drop_factor)
     if steps > 0:
         net.pretrained = True
@@ -465,16 +444,13 @@ def inference_time_increment(net: SupernetState, scheme: ConnectionScheme,
         raise ValueError("repetitions must be >= 1")
     if scheme.ones_count == 0:
         return 0.0
-    zeros = ConnectionScheme.zeros(net.total_blocks, net.config.stage_blocks)
-
-    def _median_time(s):
-        times = []
-        for _ in range(repetitions):
+    zeros = ConnectionScheme.zeros(net.total_blocks)
+    # scheme and base runs alternate, so machine drift hits both medians alike
+    t_scheme, t_base = [], []
+    for _ in range(repetitions):
+        for s, times in ((scheme, t_scheme), (zeros, t_base)):
             t0 = time.perf_counter()
             net.forward(probe_batch, s, train=False)
             times.append(time.perf_counter() - t0)
-        return float(np.median(times))
-
-    t_scheme = _median_time(scheme)
-    t_base = _median_time(zeros)
-    return 100.0 * (t_scheme - t_base) / t_base
+    base = float(np.median(t_base))
+    return 100.0 * (float(np.median(t_scheme)) - base) / base

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from attnsearch.cli import main, read_csv
+from attnsearch.cli import main, read_csv, write_csv
 
 TINY = {
     "seed": 4,
@@ -208,6 +208,22 @@ class TestVerifySubcommands:
         assert report["extended_depth"] == report["original_depth"] + 4
 
 
+class TestAtomicWrites:
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "o" / "rows.csv"
+        write_csv(path, "d" * 64, ["a"], [(1,), (2,)])
+        before = path.read_bytes()
+
+        def rows():
+            yield (3,)
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_csv(path, "e" * 64, ["a"], rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == ["rows.csv"]
+
+
 class TestErrors:
     def test_missing_config_file(self, tmp_path):
         assert run("pretrain", "--config", tmp_path / "nope.json") == 1
@@ -236,4 +252,19 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("label", [3, -1], ids=["past-last-class", "negative"])
+    def test_csv_label_outside_classes_exits_1_with_one_line(self, tmp_path, capsys, label):
+        data = tmp_path / "data.csv"
+        pixels = ",".join(["0.5"] * 36)
+        data.write_text("".join(f"{y},{pixels}\n" for y in [0, 1, 2, label] * 4))
+        cfg = dict(TINY, output_dir=str(tmp_path / "o"),
+                   dataset={"kind": "csv", "csv_path": str(data), "shape": [1, 6, 6]})
+        path = tmp_path / "csv.json"
+        path.write_text(json.dumps(cfg))
+        assert run("pretrain", "--config", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{data}: label {label} " in err
         assert not (tmp_path / "o").exists()

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from attnsearch.config import ExperimentConfig
 from attnsearch.data import load_csv, save_csv
@@ -32,6 +34,25 @@ def test_digest_stable_and_sensitive(tmp_path):
     c = ExperimentConfig.from_dict({"seed": 2})
     assert a.digest() == b.digest()
     assert a.digest() != c.digest()
+
+
+def _shuffle_keys(obj, rnd):
+    """The same config with its keys reordered at every nesting level."""
+    if not isinstance(obj, dict):
+        return obj
+    keys = list(obj)
+    rnd.shuffle(keys)
+    return {k: _shuffle_keys(obj[k], rnd) for k in keys}
+
+
+FULL = ExperimentConfig(seed=5).to_dict()  # every key of every section
+
+
+@given(st.randoms(use_true_random=False))
+def test_digest_ignores_key_order(rnd):
+    shuffled = _shuffle_keys(FULL, rnd)
+    assert ExperimentConfig.from_dict(shuffled).digest() == \
+        ExperimentConfig.from_dict(FULL).digest()
 
 
 def test_output_dir_not_part_of_identity():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from attnsearch.search import SyntheticLandscape, all_schemes, random_ratio_study
-from attnsearch.stats import (SchemeSet, aggregate_violin, connection_score,
+from attnsearch.stats import (aggregate_violin, connection_score,
                               pearson, pearson_pvalue_one_sided,
                               regression_slope)
 from attnsearch.supernet import ConnectionScheme
@@ -42,14 +42,6 @@ class TestConnectionScore:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             connection_score([])
-
-    def test_scheme_set_container_validates(self):
-        with pytest.raises(ValueError):
-            SchemeSet([])
-        with pytest.raises(ValueError):
-            SchemeSet([ConnectionScheme.ones(2), ConnectionScheme.ones(3)])
-        bag = SchemeSet([ConnectionScheme.ones(4)], label="ticket")
-        np.testing.assert_array_equal(connection_score(bag), np.ones(4))
 
 
 class TestRegressionSlope:
