@@ -50,6 +50,10 @@ class SupernetSpec:
     lr_drop_step: int | None = 300
     lr_drop_factor: float = 0.1
 
+    def __post_init__(self) -> None:
+        _check_at_least("supernet", self, 0, "steps")
+        _check_at_least("supernet", self, 1, "batch_size")
+
 
 @dataclass(frozen=True)
 class ControllerSpec:
@@ -59,6 +63,9 @@ class ControllerSpec:
     ppo_period: int = 10
     buffer_capacity: int = 100
     clip_ratios: bool = True
+
+    def __post_init__(self) -> None:
+        _check_at_least("controller", self, 1, "ppo_period", "buffer_capacity")
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,12 @@ class TheorySpec:
     probes: int = 100
     dof_convention: str = "corrected"  # "literal" | "corrected" | "both"
 
+    def __post_init__(self) -> None:
+        if self.dof_convention not in ("literal", "corrected", "both"):
+            raise ValueError("config field 'theory.dof_convention' must be 'literal', "
+                             f"'corrected' or 'both', got {self.dof_convention!r}")
+        _check_at_least("theory", self, 1, "probes")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -113,22 +126,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        hints = typing.get_type_hints(cls)
-        for f in dataclasses.fields(cls):
-            if f.name not in raw:
-                continue
-            value = raw[f.name]
-            if f.name in _SECTION_TYPES:
-                value = _section_from_dict(_SECTION_TYPES[f.name], value, f.name)
-            else:
-                _check_type(f.name, value, hints[f.name])
-            kwargs[f.name] = value
-        cfg = cls(**kwargs)
+        cfg = _from_dict(cls, raw, "")
         env_seed = os.environ.get(ENV_SEED)
         if env_seed is not None:
             cfg = dataclasses.replace(cfg, seed=int(env_seed))
@@ -205,33 +203,39 @@ class ExperimentConfig:
         return SyntheticLandscape(self.backbone.total_blocks, self.seed)
 
 
-_SECTION_TYPES = {
-    "backbone": BackboneConfig,
-    "dataset": DatasetSpec,
-    "supernet": SupernetSpec,
-    "controller": ControllerSpec,
-    "rewards": RewardConfig,
-    "search": SearchSpec,
-    "study": StudySpec,
-    "theory": TheorySpec,
-}
-
-
-def _section_from_dict(cls, raw: dict, section: str):
+def _from_dict(cls, raw: dict, section: str):
+    """Build dataclass `cls` from a JSON object: no unknown keys, every
+    required key, each value of its field's JSON type. A field annotated with
+    a dataclass is read the same way, as section `section.field`."""
+    where = f"config section {section!r}" if section else "config"
     if not isinstance(raw, dict):
-        raise ValueError(f"config section {section!r} must be an object, got {raw!r}")
+        raise ValueError(f"{where} must be an object, got {raw!r}")
+    prefix = f"{section}." if section else ""
     fields = dataclasses.fields(cls)
     unknown = set(raw) - {f.name for f in fields}
     if unknown:
-        raise ValueError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(prefix + k for k in unknown)}")
     missing = [f.name for f in fields if f.name not in raw
                and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
     if missing:
-        raise ValueError(f"config section {section!r} is missing {missing}")
+        raise ValueError(f"{where} is missing {missing}")
     hints = typing.get_type_hints(cls)
+    kwargs = {}
     for k, v in raw.items():
-        _check_type(f"{section}.{k}", v, hints[k])
-    return cls(**{k: _tuplify(v) for k, v in raw.items()})
+        if dataclasses.is_dataclass(hints[k]):
+            kwargs[k] = _from_dict(hints[k], v, prefix + k)
+        else:
+            _check_type(prefix + k, v, hints[k])
+            kwargs[k] = _tuplify(v)
+    return cls(**kwargs)
+
+
+def _check_at_least(section: str, spec, minimum: int, *names: str) -> None:
+    for name in names:
+        value = getattr(spec, name)
+        if value < minimum:
+            raise ValueError(f"config field '{section}.{name}' must be >= {minimum}, "
+                             f"got {value!r}")
 
 
 # JSON value types each field annotation accepts; a JSON integer is a valid float

@@ -52,7 +52,8 @@ class ControllerState:
         self.ppo_period = ppo_period
         self.clip_ratios = clip_ratios
         self.ratio_bounds = ratio_bounds
-        self.buffer: deque[RolloutTuple] = deque(maxlen=buffer_capacity or 10 * ppo_period)
+        self.buffer: deque[RolloutTuple] = deque(
+            maxlen=10 * ppo_period if buffer_capacity is None else buffer_capacity)
         self.update_count = 0
 
     def parameters(self) -> list[Parameter]:

@@ -117,9 +117,12 @@ def load_csv(path, shape: tuple[int, int, int]) -> Dataset:
             fields = line.split(",")
             if len(fields) != size + 1:
                 raise ValueError(f"{path}:{line_no}: expected {size + 1} fields, got {len(fields)}")
-            labels.append(int(fields[0]))
-            pix = np.array([float(v) for v in fields[1:]]).reshape(shape)
-            if pix.min() < 0.0 or pix.max() > 1.0:
+            try:
+                labels.append(int(fields[0]))
+                pix = np.array([float(v) for v in fields[1:]]).reshape(shape)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+            if not ((pix >= 0.0) & (pix <= 1.0)).all():  # NaN fails both
                 raise ValueError(f"{path}:{line_no}: pixels must lie in [0,1]")
             images.append(pix)
     return Dataset(np.array(images), np.array(labels, dtype=np.int64))

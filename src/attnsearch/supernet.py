@@ -152,9 +152,6 @@ class ResidualBlock:
         dx = self.conv1.backward(self.relu.backward(self.conv2.backward(df)))
         return dout + dx
 
-    def conv_parameters(self):
-        return self.conv1.parameters() + self.conv2.parameters()
-
 
 class SupernetState:
     """Backbone plus attention storage for every block, trained under masks."""
@@ -251,53 +248,39 @@ class SupernetState:
 
     # -- parameter access ----------------------------------------------------
 
-    def backbone_parameters(self):
-        out = list(self.stem.parameters())
-        for t in self.transitions:
-            out.extend(t.parameters())
-        for b in self.blocks:
-            out.extend(b.conv_parameters())
-        out.extend(self.fc.parameters())
-        return out
+    def _convs(self):
+        """(owner, index, name, Conv2d) for the stem, transition and block
+        convs, in checkpoint order; the stem's index is empty."""
+        yield "stem", "", "conv", self.stem.layers[0]
+        for ti, t in enumerate(self.transitions):
+            yield "transition", ti, "conv", t.layers[0]
+        for bi, b in enumerate(self.blocks):
+            yield "block", bi, "conv1", b.conv1
+            yield "block", bi, "conv2", b.conv2
 
-    def sam_modules(self):
-        """Distinct attention modules, in block order (deduplicated if shared)."""
+    def sam_modules(self, scheme: ConnectionScheme | None = None):
+        """Distinct attention modules in block order, a shared one once; with
+        a scheme, only those of its connected blocks."""
         seen, out = set(), []
-        for b in self.blocks:
-            if id(b.sam) not in seen:
-                seen.add(id(b.sam))
-                out.append(b.sam)
+        for b, block in enumerate(self.blocks):
+            if (scheme is None or scheme.bits[b]) and id(block.sam) not in seen:
+                seen.add(id(block.sam))
+                out.append(block.sam)
         return out
 
     def active_parameters(self, scheme: ConnectionScheme):
-        out = self.backbone_parameters()
-        seen = set()
-        for b, block in enumerate(self.blocks):
-            if scheme.bits[b] and id(block.sam) not in seen:
-                seen.add(id(block.sam))
-                out.extend(block.sam.parameters())
-        return out
-
-    def all_parameters(self):
-        out = self.backbone_parameters()
-        for sam in self.sam_modules():
-            out.extend(sam.parameters())
+        """What a step under `scheme` updates: convs, fc, connected attention."""
+        out = [p for *_, conv in self._convs() for p in conv.parameters()]
+        out += self.fc.parameters()
+        for sam in self.sam_modules(scheme):
+            out += sam.parameters()
         return out
 
     def named_parameters(self):
         """Stable (name, Parameter) pairs for checkpointing."""
-        pairs = []
-        stem_conv = self.stem.layers[0]
-        pairs += [("stem.conv.kernel", stem_conv.kernel), ("stem.conv.bias", stem_conv.bias)]
-        for ti, t in enumerate(self.transitions):
-            conv = t.layers[0]
-            pairs += [(f"transition{ti}.conv.kernel", conv.kernel),
-                      (f"transition{ti}.conv.bias", conv.bias)]
-        for bi, b in enumerate(self.blocks):
-            pairs += [(f"block{bi}.conv1.kernel", b.conv1.kernel),
-                      (f"block{bi}.conv1.bias", b.conv1.bias),
-                      (f"block{bi}.conv2.kernel", b.conv2.kernel),
-                      (f"block{bi}.conv2.bias", b.conv2.bias)]
+        pairs = [(f"{owner}{i}.{name}.{kind}", p)
+                 for owner, i, name, conv in self._convs()
+                 for kind, p in (("kernel", conv.kernel), ("bias", conv.bias))]
         # per-stage sharing yields one module per stage, in stage order
         owner = "stage" if self.config.sharing == "per-stage" else "block"
         for i, sam in enumerate(self.sam_modules()):

@@ -223,7 +223,7 @@ def test_criterion_07_gradient_isolation():
     for _ in range(100):
         scheme = sample_bernoulli_scheme(0.5, 8, rng)
         idx = rng.integers(0, len(train), 8)
-        for p in net.all_parameters():
+        for _, p in net.named_parameters():
             p.zero_grad()
         net.loss_and_grads(train.images[idx], train.labels[idx], scheme)
         ok = True

@@ -241,7 +241,17 @@ class TestErrors:
         ("backbone", {"stages": None}, "'backbone' is missing ['stages']"),
         ("backbone", {"classes": 2}, "dataset has 3 classes but the backbone only 2"),
         ("study", {"ratios": ["a"]}, "study ratios must be numbers in [0, 1]"),
-    ], ids=["string-steps", "zero-channels", "no-stages", "class-mismatch", "ratio-text"])
+        ("theory", {"dof_convention": "bogus"},
+         "'theory.dof_convention' must be 'literal', 'corrected' or 'both', got 'bogus'"),
+        ("theory", {"probes": 0}, "'theory.probes' must be >= 1, got 0"),
+        ("controller", {"ppo_period": 0}, "'controller.ppo_period' must be >= 1, got 0"),
+        ("controller", {"buffer_capacity": 0},
+         "'controller.buffer_capacity' must be >= 1, got 0"),
+        ("supernet", {"batch_size": 0}, "'supernet.batch_size' must be >= 1, got 0"),
+        ("supernet", {"steps": -5}, "'supernet.steps' must be >= 0, got -5"),
+    ], ids=["string-steps", "zero-channels", "no-stages", "class-mismatch", "ratio-text",
+            "bogus-dof", "zero-probes", "zero-ppo-period", "zero-buffer", "zero-batch",
+            "negative-steps"])
     def test_bad_config_exits_1_with_one_line(self, tmp_path, capsys, section, patch, message):
         cfg = dict(TINY, output_dir=str(tmp_path / "o"))
         cfg[section] = {k: v for k, v in {**TINY.get(section, {}), **patch}.items()
@@ -267,4 +277,25 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{data}: label {label} " in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("label, pixel, message", [
+        ("1.0", "0.5", "invalid literal for int() with base 10: '1.0'"),
+        ("1", "x", "could not convert string to float: 'x'"),
+        ("1", "nan", "pixels must lie in [0,1]"),
+    ], ids=["float-label", "text-pixel", "nan-pixel"])
+    def test_csv_parse_error_names_file_and_line(self, tmp_path, capsys, label, pixel,
+                                                 message):
+        data = tmp_path / "data.csv"
+        pixels = ",".join(["0.5"] * 35)
+        rows = [f"{y},{pixels},0.5\n" for y in [0, 1, 2] * 4]
+        rows[2] = f"{label},{pixels},{pixel}\n"
+        data.write_text("".join(rows))
+        cfg = dict(TINY, output_dir=str(tmp_path / "o"),
+                   dataset={"kind": "csv", "csv_path": str(data), "shape": [1, 6, 6]})
+        path = tmp_path / "csv.json"
+        path.write_text(json.dumps(cfg))
+        assert run("pretrain", "--config", path) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {data}:3: {message}\n"
         assert not (tmp_path / "o").exists()

@@ -28,6 +28,14 @@ def test_unknown_keys_rejected():
                                                  "classes": 3}})
 
 
+@pytest.mark.parametrize("raw", [5, [1], "seed"])
+def test_non_object_config_refused(raw):
+    with pytest.raises(ValueError, match=r"^config must be an object, got "):
+        ExperimentConfig.from_dict(raw)
+    with pytest.raises(ValueError, match=r"^config section 'theory' must be an object, got "):
+        ExperimentConfig.from_dict({"theory": raw})
+
+
 def test_digest_stable_and_sensitive(tmp_path):
     a = ExperimentConfig.from_dict({"seed": 1})
     b = ExperimentConfig.from_dict({"seed": 1})

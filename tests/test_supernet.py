@@ -1,8 +1,12 @@
 """Supernet contracts: gating semantics, weight sharing, accounting, checkpoints."""
 
+import dataclasses
+import os
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnsearch.attention import se_attention
@@ -111,12 +115,12 @@ class TestForwardWithScheme:
         net = small_net(4)
         rng = np.random.default_rng(5)
         val = Dataset(rng.random((10, 1, 6, 6)), rng.integers(0, 3, 10))
-        snapshot = [p.value.copy() for p in net.all_parameters()]
+        snapshot = [p.value.copy() for _, p in net.named_parameters()]
         a = evaluate_scheme(net, ConnectionScheme([1, 1, 0, 1]), val)
         evaluate_scheme(net, ConnectionScheme.zeros(4), val)
         b = evaluate_scheme(net, ConnectionScheme([1, 1, 0, 1]), val)
         assert a == b
-        for p, s in zip(net.all_parameters(), snapshot):
+        for (_, p), s in zip(net.named_parameters(), snapshot):
             np.testing.assert_array_equal(p.value, s)
 
 
@@ -185,7 +189,7 @@ class TestPretraining:
         for _ in range(30):
             idx = net_b.data_rng.integers(0, len(data), size=4)
             net_b.train_step(data.images[idx], data.labels[idx], ones, opt)
-        for pa, pb in zip(net_a.all_parameters(), net_b.all_parameters()):
+        for (_, pa), (_, pb) in zip(net_a.named_parameters(), net_b.named_parameters()):
             np.testing.assert_array_equal(pa.value, pb.value)
 
     def test_empty_training_set(self):
@@ -212,7 +216,7 @@ class TestPretraining:
         for _ in range(10):
             scheme = sample_bernoulli_scheme(0.5, 4, rng)
             idx = rng.integers(0, len(data), 4)
-            for p in net.all_parameters():
+            for _, p in net.named_parameters():
                 p.zero_grad()
             net.loss_and_grads(data.images[idx], data.labels[idx], scheme)
             for b, block in enumerate(net.blocks):
@@ -239,7 +243,7 @@ class TestSharedStage:
         x = small_batch(22, cfg=cfg)
         y = np.array([0, 1, 2, 0])
         scheme = ConnectionScheme.ones(2)
-        for p in net.all_parameters():
+        for _, p in net.named_parameters():
             p.zero_grad()
         net.loss_and_grads(x, y, scheme)
         analytic = [p.grad.copy() for p in net.blocks[0].sam.parameters()]
@@ -267,7 +271,7 @@ class _NetLoss:
         self.net, self.labels, self.scheme = net, labels, scheme
 
     def parameters(self):
-        return self.net.all_parameters()
+        return [p for _, p in self.net.named_parameters()]
 
     def loss(self, x):
         return self.net.loss_and_grads(x, self.labels, self.scheme)
@@ -308,7 +312,8 @@ class TestAccounting:
                                  classes=3, sam="se", sharing=sharing, reduction=2)
             net = SupernetState(cfg, 23)
             backbone, extra = count_params(cfg, ConnectionScheme.ones(4))
-            assert backbone == sum(p.size for p in net.backbone_parameters())
+            assert backbone == sum(p.size for name, p in net.named_parameters()
+                                   if ".sam." not in name)
             assert extra == sum(p.size for sam in net.sam_modules()
                                 for p in sam.parameters())
 
@@ -442,6 +447,73 @@ class TestCheckpoint:
             save_checkpoint(path, net, "c" * 64)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+    @settings(deadline=None, max_examples=20)
+    @given(sam=st.sampled_from(["se", "sge"]),
+           sharing=st.sampled_from(["per-block", "per-stage"]),
+           stages=st.lists(st.tuples(st.integers(1, 2), st.sampled_from([2, 4])),
+                           min_size=1, max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1), step_count=st.integers(0, 2 ** 64 - 1),
+           pretrained=st.booleans())
+    def test_round_trip_property(self, sam, sharing, stages, seed, step_count, pretrained):
+        cfg = BackboneConfig(stages=tuple(stages), input_shape=(1, 4, 4), classes=2,
+                             sam=sam, sharing=sharing, reduction=2, groups=2)
+        net = small_net(seed, cfg)
+        rng = np.random.default_rng(seed)
+        for _, p in net.named_parameters():
+            p.value[...] = rng.standard_normal(p.value.shape)
+        net.step_count, net.pretrained = step_count, pretrained
+        other = small_net(seed + 1, cfg)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "a.ckpt"), os.path.join(tmp, "b.ckpt")
+            save_checkpoint(first, net, "f" * 64)
+            load_checkpoint(first, other, "f" * 64)
+            save_checkpoint(second, other, "f" * 64)
+            with open(first, "rb") as fa, open(second, "rb") as fb:
+                assert fa.read() == fb.read()
+        for (na, pa), (nb, pb) in zip(net.named_parameters(), other.named_parameters(),
+                                      strict=True):
+            assert na == nb
+            np.testing.assert_array_equal(pa.value, pb.value)
+        assert (other.step_count, other.pretrained) == (step_count, pretrained)
+
+
+# the literal checkpoint layout of a three-block, two-stage net; a change here
+# breaks every saved checkpoint, and the active order fixes the clip norm's sum
+LAYOUT = BackboneConfig(stages=((2, 2), (1, 2)), input_shape=(1, 5, 5), classes=2,
+                        reduction=2, groups=2)
+CONV_NAMES = [
+    "stem.conv.kernel", "stem.conv.bias", "transition0.conv.kernel", "transition0.conv.bias",
+    "block0.conv1.kernel", "block0.conv1.bias", "block0.conv2.kernel", "block0.conv2.bias",
+    "block1.conv1.kernel", "block1.conv1.bias", "block1.conv2.kernel", "block1.conv2.bias",
+    "block2.conv1.kernel", "block2.conv1.bias", "block2.conv2.kernel", "block2.conv2.bias",
+]
+SGE_STAGE_NAMES = ["stage0.sam.gamma", "stage0.sam.beta", "stage1.sam.gamma", "stage1.sam.beta"]
+SE_BLOCK_NAMES = [
+    "block0.sam.w1", "block0.sam.b1", "block0.sam.w2", "block0.sam.b2",
+    "block1.sam.w1", "block1.sam.b1", "block1.sam.w2", "block1.sam.b2",
+    "block2.sam.w1", "block2.sam.b1", "block2.sam.w2", "block2.sam.b2",
+]
+
+
+class TestParameterLayout:
+    @pytest.mark.parametrize("sam, sharing, sam_names", [
+        ("sge", "per-stage", SGE_STAGE_NAMES), ("se", "per-block", SE_BLOCK_NAMES)])
+    def test_named_parameters_order(self, sam, sharing, sam_names):
+        net = SupernetState(dataclasses.replace(LAYOUT, sam=sam, sharing=sharing), 0)
+        assert [name for name, _ in net.named_parameters()] == \
+            CONV_NAMES + sam_names + ["fc.weight", "fc.bias"]
+
+    @pytest.mark.parametrize("sam, sharing, sam_names", [
+        ("sge", "per-stage", SGE_STAGE_NAMES), ("se", "per-block", SE_BLOCK_NAMES[4:])])
+    def test_active_parameters_order(self, sam, sharing, sam_names):
+        # blocks 1 and 2 connected: one per stage
+        net = SupernetState(dataclasses.replace(LAYOUT, sam=sam, sharing=sharing), 0)
+        names = {id(p): name for name, p in net.named_parameters()}
+        active = net.active_parameters(ConnectionScheme.from_string("011"))
+        assert [names[id(p)] for p in active] == \
+            CONV_NAMES + ["fc.weight", "fc.bias"] + sam_names
 
 
 def reference_pretrain(net, train_set, beta, steps, batch_size, opt, lr_drop_step,
