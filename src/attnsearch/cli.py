@@ -81,10 +81,11 @@ def write_json(path, digest: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_timing(outdir, name: str, digest: str, elapsed: float) -> None:
+def _write_timing(outdir, name: str, digest: str, elapsed: float, **counts) -> None:
     path = os.path.join(outdir, f"{name}_timing.json")
     with open_atomic(path) as fh:
-        json.dump({"config_digest": digest, "elapsed_seconds": elapsed}, fh, indent=2)
+        json.dump({"config_digest": digest, "elapsed_seconds": elapsed, **counts}, fh,
+                  indent=2)
         fh.write("\n")
 
 
@@ -160,7 +161,9 @@ def cmd_search(args) -> int:
                   "flop_increment_pct": flop_increment_pct(cfg.backbone, s)}
                  for s, g in result.best],
     })
-    _write_timing(outdir, "search", digest, time.perf_counter() - t0)
+    _write_timing(outdir, "search", digest, time.perf_counter() - t0,
+                  iterations=len(result.trace),
+                  distinct_schemes=len({r.scheme for r in result.trace}))
     best = result.best[0]
     print(f"best scheme {best[0].to_string()} reward {best[1]:.4f} "
           f"({len(result.trace)} iterations)")

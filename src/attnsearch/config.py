@@ -53,6 +53,9 @@ class SupernetSpec:
     def __post_init__(self) -> None:
         _check_at_least("supernet", self, 0, "steps")
         _check_at_least("supernet", self, 1, "batch_size")
+        if not self.lr_drop_factor > 0:  # also refuses NaN
+            raise ValueError("config field 'supernet.lr_drop_factor' must be > 0, "
+                             f"got {self.lr_drop_factor!r}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,7 @@ class StudySpec:
         if not all(isinstance(r, (int, float)) and not isinstance(r, bool) and 0 <= r <= 1
                    for r in self.ratios):
             raise ValueError(f"study ratios must be numbers in [0, 1], got {list(self.ratios)}")
+        _check_at_least("study", self, 1, "samples_per_ratio")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ deterministic synthetic landscape for fast, exact searcher testing.
 
 from __future__ import annotations
 
+import functools
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -102,7 +103,7 @@ class SearchBudget:
             raise ValueError("at least one budget cap must be finite")
 
     def exhausted(self, iteration: int, started: float) -> bool:
-        """One scheme is evaluated per iteration, so both counts cap `iteration`."""
+        """Both caps count scores delivered, one per iteration, not evaluator calls."""
         for cap in (self.iterations, self.evaluations):
             if cap is not None and iteration >= cap:
                 return True
@@ -158,6 +159,11 @@ def classify_ticket(scheme_accuracy: float, full_accuracy: float,
     )
 
 
+def _scored_once(evaluator):
+    """`evaluator` with a memo: each distinct scheme is scored once per searcher call."""
+    return functools.cache(lambda scheme: float(evaluator(scheme)))
+
+
 # ---------------------------------------------------------------------------
 # the policy-gradient search loop
 # ---------------------------------------------------------------------------
@@ -167,18 +173,19 @@ def ean_search(evaluator, controller: ControllerState, rewards: RewardConfig,
                rnd_pair: RNDPair | None = None) -> SearchResult:
     """Sample schemes from the controller, reward, ascend, replay.
 
-    Per iteration: forward the controller, sample one scheme, compute the
-    reward components, take one policy-gradient step, push the rollout to
-    the buffer, run an importance-weighted replay update every
+    Per iteration: forward the controller, sample one scheme, score it,
+    compute the reward components, take one policy-gradient step, push the
+    rollout to the buffer, run an importance-weighted replay update every
     `ppo_period` steps, then train the novelty predictor on the scheme.
-    Returns the top three distinct schemes by combined reward plus the
-    full per-iteration trace.
-    """
+    Returns the top three distinct schemes by combined reward plus the full
+    per-iteration trace. `evaluator` must be a pure function of the scheme:
+    each distinct scheme is scored once and reused on a repeat."""
     if not getattr(evaluator, "pretrained", True):
         warnings.warn("searching against an un-pretrained proxy; accuracy "
                       "rewards will be close to chance", stacklevel=2)
     if rewards.lambda_rnd > 0 and rnd_pair is None:
         raise ValueError("lambda_rnd > 0 requires an RNDPair")
+    score = _scored_once(evaluator)
     started = time.perf_counter()
     iteration = 0
     best: dict[ConnectionScheme, float] = {}
@@ -186,7 +193,7 @@ def ean_search(evaluator, controller: ControllerState, rewards: RewardConfig,
     while not budget.exhausted(iteration, started):
         probs = controller_forward(controller)
         scheme, p_hat, _ = sample_and_score(probs, rng)
-        g_val = float(evaluator(scheme))
+        g_val = score(scheme)
         bundle = reward_bundle(rewards, scheme, g_val, rnd_pair)
         reinforce_update(controller, scheme, p_hat, bundle.combined)
         controller.buffer.append(RolloutTuple(probs.copy(), scheme, bundle.combined))
@@ -290,17 +297,15 @@ def ga_search(evaluator, m: int, population: int, generations: int,
               rewards: RewardConfig | None = None) -> tuple[ConnectionScheme, float]:
     """Bit-string GA: tournament (k=3), uniform crossover (p=0.5), per-bit
     mutation 1/m, single elite. Fitness is the combined reward with the
-    novelty term absent."""
+    novelty term absent. `evaluator` must be a pure function of the scheme:
+    each distinct scheme is scored once and reused on a repeat."""
     if population < 4:
         raise ValueError("population must be at least 4")
     rewards = rewards or RewardConfig()
-    cache: dict[ConnectionScheme, float] = {}
+    score = _scored_once(evaluator)
 
     def fitness(scheme: ConnectionScheme) -> float:
-        if scheme not in cache:
-            cache[scheme] = combined_reward(rewards, sparsity_reward(scheme),
-                                            float(evaluator(scheme)), 0.0)
-        return cache[scheme]
+        return combined_reward(rewards, sparsity_reward(scheme), score(scheme), 0.0)
 
     pop = [sample_bernoulli_scheme(0.5, m, rng) for _ in range(population)]
     best_scheme, best_fit = None, -np.inf

@@ -51,6 +51,10 @@ class TestPretrainAndSearch:
         assert 1 <= len(schemes["best"]) <= 3
         pbar_digest, pbar_rows = read_csv(out / "pbar.csv")
         assert pbar_digest == digest and len(pbar_rows) == 8
+        timing = json.loads((out / "search_timing.json").read_text())
+        assert timing["iterations"] == len(rows) == 8
+        assert timing["distinct_schemes"] == len({r["scheme"] for r in rows})
+        assert 1 <= timing["distinct_schemes"] <= timing["iterations"]
 
     def test_search_refuses_foreign_checkpoint(self, tiny_config, tmp_path):
         other_cfg = dict(TINY, seed=99, output_dir=str(tmp_path / "other"))
@@ -249,9 +253,14 @@ class TestErrors:
          "'controller.buffer_capacity' must be >= 1, got 0"),
         ("supernet", {"batch_size": 0}, "'supernet.batch_size' must be >= 1, got 0"),
         ("supernet", {"steps": -5}, "'supernet.steps' must be >= 0, got -5"),
+        ("study", {"samples_per_ratio": 0}, "'study.samples_per_ratio' must be >= 1, got 0"),
+        ("supernet", {"lr_drop_factor": -1.0},
+         "'supernet.lr_drop_factor' must be > 0, got -1.0"),
+        ("supernet", {"lr_drop_factor": 0}, "'supernet.lr_drop_factor' must be > 0, got 0"),
     ], ids=["string-steps", "zero-channels", "no-stages", "class-mismatch", "ratio-text",
             "bogus-dof", "zero-probes", "zero-ppo-period", "zero-buffer", "zero-batch",
-            "negative-steps"])
+            "negative-steps", "zero-samples-per-ratio", "negative-lr-drop",
+            "zero-lr-drop"])
     def test_bad_config_exits_1_with_one_line(self, tmp_path, capsys, section, patch, message):
         cfg = dict(TINY, output_dir=str(tmp_path / "o"))
         cfg[section] = {k: v for k, v in {**TINY.get(section, {}), **patch}.items()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from attnsearch.controller import ControllerState, controller_forward
-from attnsearch.rewards import RewardConfig, RNDPair
+from attnsearch.rewards import RewardConfig, RNDPair, combined_reward, sparsity_reward
 from attnsearch.search import (PeakedLandscape, SearchBudget, SyntheticLandscape,
                                all_schemes, classify_ticket, ean_search,
                                exhaustive_search, ga_search, hsp_scheme,
@@ -15,6 +15,18 @@ from attnsearch.supernet import BackboneConfig, ConnectionScheme, SupernetState
 def make_controller(m, seed, **kw):
     kw.setdefault("clip_ratios", False)
     return ControllerState(m, rng=np.random.default_rng(seed), **kw)
+
+
+class CountingEvaluator:
+    """Wraps an evaluator and records the string of every scheme it scores."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def __call__(self, scheme):
+        self.calls.append(scheme.to_string())
+        return self.inner(scheme)
 
 
 class TestExhaustive:
@@ -149,6 +161,18 @@ class TestGA:
         exhaust_max = exhaustive_search(land, 6)[0][1]
         assert land(best) <= exhaust_max
 
+    def test_each_distinct_scheme_scored_once(self):
+        land = SyntheticLandscape(5, 45)
+        counted = CountingEvaluator(land)
+        rewards = RewardConfig(0.5, 1.0, 0.0)
+        population, generations = 8, 10
+        best, fit = ga_search(counted, 5, population, generations,
+                              np.random.default_rng(46), rewards)
+        assert len(counted.calls) == len(set(counted.calls))
+        assert len(counted.calls) < population * (generations + 1)  # repeats were read
+        assert best.to_string() in counted.calls
+        assert fit == combined_reward(rewards, sparsity_reward(best), land(best), 0.0)
+
 
 class TestL1Prune:
     def make_net(self, sharing="per-block"):
@@ -272,12 +296,25 @@ class TestEANSearch:
                        SearchBudget(iterations=3), np.random.default_rng(75))
 
     def test_evaluation_budget_cap(self):
-        calls = []
+        # the cap counts scores delivered; repeats are not re-scored
+        counted = CountingEvaluator(lambda s: 0.5)
         controller = make_controller(4, 76)
-        ean_search(lambda s: calls.append(1) or 0.5, controller,
-                   RewardConfig(0.0, 1.0, 0.0), SearchBudget(evaluations=17),
-                   np.random.default_rng(77))
-        assert len(calls) == 17
+        result = ean_search(counted, controller, RewardConfig(0.0, 1.0, 0.0),
+                            SearchBudget(evaluations=17), np.random.default_rng(77))
+        assert len(result.trace) == 17
+        assert len(counted.calls) == len({r.scheme for r in result.trace})
+
+    def test_each_distinct_scheme_scored_once(self):
+        land = SyntheticLandscape(4, 78)
+        counted = CountingEvaluator(land)
+        controller = make_controller(4, 79)
+        result = ean_search(counted, controller, RewardConfig(0.5, 1.0, 0.0),
+                            SearchBudget(iterations=80), np.random.default_rng(80))
+        assert len(counted.calls) == len(set(counted.calls))
+        assert set(counted.calls) == {r.scheme for r in result.trace}
+        assert len(counted.calls) < len(result.trace)  # repeats were drawn
+        for row in result.trace:
+            assert row.g_val == land(ConnectionScheme.from_string(row.scheme))
 
     def test_budget_requires_one_cap(self):
         with pytest.raises(ValueError):
