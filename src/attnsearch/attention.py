@@ -89,12 +89,6 @@ class SEModule(_AttentionModule):
         return np.broadcast_to(dpooled[:, :, None, None], shape).copy() / (h * w)
 
 
-def se_param_count(channels: int, reduction: int) -> int:
-    """Closed-form count: 2*C*(C//r) + C//r + C (biases included)."""
-    hidden = channels // reduction
-    return 2 * channels * hidden + hidden + channels
-
-
 def se_attention(x: Tensor, module: SEModule) -> Tensor:
     """Per-channel mask in (0,1)^C for one [C,H,W] feature map."""
     return _apply_single(x, module)[:, 0, 0]
@@ -111,10 +105,6 @@ def channel_groups(channels: int, groups: int) -> list[slice]:
         raise ValueError(f"groups {groups} must lie in [1, channels={channels}]")
     size = -(-channels // groups)
     return [slice(i, min(i + size, channels)) for i in range(0, channels, size)]
-
-
-def sge_param_count(channels: int, groups: int) -> int:
-    return 2 * len(channel_groups(channels, groups))
 
 
 class SGEModule(_AttentionModule):

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation failure, 2 acceptance-check failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,7 +26,8 @@ from .search import (SearchBudget, SupernetEvaluator, ean_search,
                      exhaustive_search, ga_search, hsp_scheme,
                      l1_prune_baseline, random_ratio_study)
 from .stats import aggregate_violin
-from .supernet import count_params, flop_increment_pct, pretrain_supernet
+from .supernet import (BackboneConfig, ConnectionScheme, count_params,
+                       flop_increment_pct, pretrain_supernet)
 from .theory import (ResNetChain, Thm1Instance, embed_as_subnetwork,
                      extend_network, min_row_zeroing_error, thm1_monte_carlo,
                      thm1_width_bound)
@@ -54,7 +56,8 @@ def write_csv(path, digest: str, columns, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def read_csv(path) -> tuple[str, list[dict]]:
+def read_csv(path, required=()) -> tuple[str, list[dict]]:
+    """(digest, rows as dicts); a header without a `required` column is refused."""
     digest = ""
     rows: list[dict] = []
     columns: list[str] | None = None
@@ -70,6 +73,9 @@ def read_csv(path) -> tuple[str, list[dict]]:
                 columns = line.split(",")
                 continue
             rows.append(dict(zip(columns, line.split(","))))
+    for name in required:
+        if name not in (columns or []):
+            raise ValueError(f"{path}: no {name!r} column")
     return digest, rows
 
 
@@ -110,6 +116,12 @@ def _supernet_evaluator(cfg: ExperimentConfig, checkpoint) -> SupernetEvaluator:
     load_checkpoint(checkpoint, net, cfg.digest())
     _, val = cfg.build_dataset()
     return SupernetEvaluator(net, val)
+
+
+def _cost_columns(backbone: BackboneConfig, scheme: ConnectionScheme) -> dict:
+    """What `scheme` adds to the backbone: attention parameters and FLOP percent."""
+    return {"extra_params": count_params(backbone, scheme)[1],
+            "flop_increment_pct": flop_increment_pct(backbone, scheme)}
 
 
 def _per_ratio(rows) -> dict:
@@ -156,9 +168,7 @@ def cmd_search(args) -> int:
     write_csv(os.path.join(outdir, "pbar.csv"), digest, ["iteration", "p_bar"],
               [(r.iteration, r.p_bar) for r in result.trace])
     write_json(os.path.join(outdir, "schemes.json"), digest, {
-        "best": [{"scheme": s.to_string(), "reward": g,
-                  "extra_params": count_params(cfg.backbone, s)[1],
-                  "flop_increment_pct": flop_increment_pct(cfg.backbone, s)}
+        "best": [{"scheme": s.to_string(), "reward": g, **_cost_columns(cfg.backbone, s)}
                  for s, g in result.best],
     })
     _write_timing(outdir, "search", digest, time.perf_counter() - t0,
@@ -186,13 +196,12 @@ def cmd_study(args) -> int:
     evaluator = _evaluator(cfg, args)
     t0 = time.perf_counter()
     rows = random_ratio_study(evaluator, cfg.backbone.total_blocks, cfg.study.ratios,
-                              cfg.study.samples_per_ratio, cfg.rng("study"),
-                              config=cfg.backbone)
-    write_csv(os.path.join(outdir, "study_rows.csv"), digest,
-              ["scheme", "ones", "ratio", "accuracy", "extra_params",
-               "flop_increment_pct"],
-              [(r["scheme"], r["ones"], r["ratio"], r["accuracy"],
-                r["extra_params"], r["flop_increment_pct"]) for r in rows])
+                              cfg.study.samples_per_ratio, cfg.rng("study"))
+    for r in rows:
+        r.update(_cost_columns(cfg.backbone, ConnectionScheme.from_string(r["scheme"])))
+    columns = ["scheme", "ones", "ratio", "accuracy", "extra_params", "flop_increment_pct"]
+    write_csv(os.path.join(outdir, "study_rows.csv"), digest, columns,
+              [[r[c] for c in columns] for r in rows])
     write_json(os.path.join(outdir, "study_summary.json"), digest,
                {"per_ratio": _per_ratio(rows)})
     _write_timing(outdir, "study", digest, time.perf_counter() - t0)
@@ -210,8 +219,11 @@ def cmd_baseline(args) -> int:
         payload.update(period=args.period, offset=args.offset,
                        scheme=scheme.to_string(), score=float(evaluator(scheme)))
     elif args.method == "ga":
-        evaluator = _evaluator(cfg, args)
-        generations = args.generations or max(1, cfg.search.iterations // args.population)
+        # the winner's score is read back from the scores the GA computed
+        evaluator = functools.cache(_evaluator(cfg, args))
+        generations = args.generations
+        if generations is None:
+            generations = max(1, cfg.search.iterations // args.population)
         scheme, fit = ga_search(evaluator, m, args.population, generations,
                                 cfg.rng("ga"), cfg.rewards)
         payload.update(population=args.population, generations=generations,
@@ -286,7 +298,7 @@ def cmd_extend_demo(args) -> int:
 
 
 def cmd_report(args) -> int:
-    digest, rows = read_csv(args.rows)
+    digest, rows = read_csv(args.rows, required=("ratio", "accuracy"))
     if args.config:
         cfg = ExperimentConfig.from_file(args.config)
         if cfg.digest() != digest:

@@ -13,6 +13,8 @@ import functools
 import time
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -238,19 +240,14 @@ def sample_fixed_ones(m: int, ones: int, rng: np.random.Generator) -> Connection
 
 
 def random_ratio_study(evaluator, m: int, ratios, samples_per_ratio: int,
-                       rng: np.random.Generator, config=None) -> list[dict]:
+                       rng: np.random.Generator) -> list[dict]:
     """Uniform samples among schemes with exactly round(ratio*m) ones.
 
     When a bucket holds no more than samples_per_ratio distinct schemes the
     whole bucket is enumerated instead, so the reported per-ratio maximum is
-    exact there. Rows carry (scheme, ones, ratio, accuracy, extra_params,
-    flop_increment_pct); the cost columns are zero without a backbone config.
+    exact there. Rows carry scheme (a digit string), ones, ratio and accuracy.
     All sampling happens before evaluation.
     """
-    from itertools import combinations
-    from math import comb
-
-    from .supernet import count_params, flop_increment_pct
     sampled = []
     for ratio in ratios:
         ones = int(round(ratio * m))
@@ -264,21 +261,9 @@ def random_ratio_study(evaluator, m: int, ratios, samples_per_ratio: int,
         else:
             sampled.extend((ratio, ones, sample_fixed_ones(m, ones, rng))
                            for _ in range(samples_per_ratio))
-    rows = []
-    for ratio, ones, scheme in sampled:
-        row = {
-            "scheme": scheme.to_string(),
-            "ones": ones,
-            "ratio": ratio,
-            "accuracy": float(evaluator(scheme)),
-            "extra_params": 0,
-            "flop_increment_pct": 0.0,
-        }
-        if config is not None:
-            row["extra_params"] = count_params(config, scheme)[1]
-            row["flop_increment_pct"] = flop_increment_pct(config, scheme)
-        rows.append(row)
-    return rows
+    return [{"scheme": scheme.to_string(), "ones": ones, "ratio": ratio,
+             "accuracy": float(evaluator(scheme))}
+            for ratio, ones, scheme in sampled]
 
 
 def hsp_scheme(period: int, offset: int, m: int) -> ConnectionScheme:
@@ -301,6 +286,8 @@ def ga_search(evaluator, m: int, population: int, generations: int,
     each distinct scheme is scored once and reused on a repeat."""
     if population < 4:
         raise ValueError("population must be at least 4")
+    if generations < 1:
+        raise ValueError(f"generations must be at least 1, got {generations}")
     rewards = rewards or RewardConfig()
     score = _scored_once(evaluator)
 

@@ -14,8 +14,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .attention import (SEModule, SGEModule, channel_groups, recalibrate,
-                        se_param_count, sge_param_count)
+from .attention import SEModule, SGEModule, channel_groups, recalibrate
 from .data import Dataset
 from .nncore import (Conv2d, Dense, GlobalAvgPool, OptimizerConfig, ReLU,
                      Sequential, sgd_momentum_step, softmax_cross_entropy_batch)
@@ -103,6 +102,12 @@ class BackboneConfig:
             raise ValueError(f"unknown sharing mode {self.sharing!r}")
         if self.classes < 2:
             raise ValueError("need at least two classes")
+        # every stage needs a hidden unit (se) or a channel per group (sge)
+        name = "reduction" if self.sam == "se" else "groups"
+        value = getattr(self, name)
+        if not 1 <= value <= min(self.stage_channels):
+            raise ValueError(f"{name} {value} must lie in [1, {min(self.stage_channels)}], "
+                             "the narrowest stage's channels")
 
     @property
     def total_blocks(self) -> int:
@@ -112,21 +117,32 @@ class BackboneConfig:
     def stage_channels(self) -> tuple:
         return tuple(int(c) for _, c in self.stages)
 
-    def stage_spatial(self) -> list:
-        """Spatial size per stage: the stem preserves it, each stride-2
-        transition between stages halves it (ceil)."""
-        _, h, w = self.input_shape
-        sizes = [(h, w)]
-        for _ in range(len(self.stages) - 1):
-            h = (h - 1) // 2 + 1
-            w = (w - 1) // 2 + 1
-            sizes.append((h, w))
-        return sizes
+    def check_scheme(self, scheme: ConnectionScheme) -> None:
+        if len(scheme) != self.total_blocks:
+            raise ValueError(
+                f"scheme length {len(scheme)} does not match {self.total_blocks} blocks")
 
-    def sam_param_count(self, channels: int) -> int:
+    def make_sam(self, channels: int, rng: np.random.Generator):
+        """A fresh attention module of this kind for a `channels`-wide stage."""
         if self.sam == "se":
-            return se_param_count(channels, self.reduction)
-        return sge_param_count(channels, self.groups)
+            return SEModule(channels, self.reduction, rng)
+        return SGEModule(channels, self.groups)
+
+    def sam_cost(self, channels: int, pixels: int) -> tuple[int, int]:
+        """(parameters, extra ops per run) of one attention module on a
+        `channels` x `pixels` feature map.
+
+        Channel-squeeze: 2*C*(C//r) + C//r + C parameters, as many MACs, plus
+        C*H*W recalibration multiplies. Group-wise: a scale and a shift per
+        group; saliency dots C*H*W, scale ops 2*H*W per group, recalibration
+        C*H*W.
+        """
+        if self.sam == "se":
+            hidden = channels // self.reduction
+            params = 2 * channels * hidden + hidden + channels
+            return params, params + channels * pixels
+        ngroups = len(channel_groups(channels, self.groups))
+        return 2 * ngroups, 2 * channels * pixels + 2 * pixels * ngroups
 
 
 class ResidualBlock:
@@ -162,39 +178,26 @@ class SupernetState:
         init_rng = named_rng(seed, "supernet-init")
         self.mask_rng = named_rng(seed, "supernet-mask")
         self.data_rng = named_rng(seed, "supernet-data")
-        c_in = config.input_shape[0]
-        channels = config.stage_channels
-        self.stem = Sequential(Conv2d(c_in, channels[0], 3, 1, 1, init_rng), ReLU())
-        # every layer in forward order; backward walks it reversed
-        self.layers = [self.stem]
+        self.layers = []  # every layer in forward order; backward walks it reversed
         self.transitions = []
         self.blocks = []
-        block_stage = []
-        for si, (nblocks, ch) in enumerate(config.stages):
-            if si > 0:
-                self.transitions.append(
-                    Sequential(Conv2d(channels[si - 1], ch, 3, 2, 1, init_rng), ReLU()))
-                self.layers.append(self.transitions[-1])
-            for _ in range(int(nblocks)):
-                self.blocks.append(ResidualBlock(ch, init_rng))
-                self.layers.append(self.blocks[-1])
-                block_stage.append(si)
-        if config.sharing == "per-stage":
-            stage_sams = [self._make_sam(ch, init_rng) for ch in channels]
-            for block, si in zip(self.blocks, block_stage):
-                block.sam = stage_sams[si]
-        else:
-            for block, si in zip(self.blocks, block_stage):
-                block.sam = self._make_sam(channels[si], init_rng)
-        self.fc = Dense(channels[-1], config.classes, init_rng)
+        for c_in, ch, nblocks, _, first in _stages(config):
+            # the stem keeps the input size; later stages open with a stride-2 transition
+            entry = Sequential(Conv2d(c_in, ch, 3, 2 if self.blocks else 1, 1, init_rng), ReLU())
+            if self.blocks:
+                self.transitions.append(entry)
+            else:
+                self.stem = entry
+            self.blocks += [ResidualBlock(ch, init_rng) for _ in range(nblocks)]
+            self.layers += [entry, *self.blocks[first:]]
+        for _, ch, nblocks, _, first in _stages(config):
+            shared = config.make_sam(ch, init_rng) if config.sharing == "per-stage" else None
+            for block in self.blocks[first:first + nblocks]:
+                block.sam = shared if shared is not None else config.make_sam(ch, init_rng)
+        self.fc = Dense(config.stage_channels[-1], config.classes, init_rng)
         self.layers += [GlobalAvgPool(), self.fc]
         self.step_count = 0
         self.pretrained = False
-
-    def _make_sam(self, channels: int, rng: np.random.Generator):
-        if self.config.sam == "se":
-            return SEModule(channels, self.config.reduction, rng)
-        return SGEModule(channels, self.config.groups)
 
     # -- forward / backward ------------------------------------------------
 
@@ -202,13 +205,8 @@ class SupernetState:
     def total_blocks(self) -> int:
         return len(self.blocks)
 
-    def _check_scheme(self, scheme: ConnectionScheme) -> None:
-        if len(scheme) != self.total_blocks:
-            raise ValueError(
-                f"scheme length {len(scheme)} does not match {self.total_blocks} blocks")
-
     def forward(self, x, scheme: ConnectionScheme, train: bool = False):
-        self._check_scheme(scheme)
+        self.config.check_scheme(scheme)
         bits = iter(scheme.bits)
         for layer in self.layers:
             if isinstance(layer, ResidualBlock):
@@ -355,61 +353,55 @@ def evaluate_scheme(net: SupernetState, scheme: ConnectionScheme, val_set: Datas
     return float((logits.argmax(axis=1) == val_set.labels).mean())
 
 
-def _blocks(config: BackboneConfig):
-    """(block index, stage index, channels, (H, W)) for every residual block."""
-    spatial = config.stage_spatial()
-    bi = 0
-    for si, (nblocks, ch) in enumerate(config.stages):
-        for _ in range(int(nblocks)):
-            yield bi, si, ch, spatial[si]
-            bi += 1
+def _stages(config: BackboneConfig):
+    """(c_in, channels, blocks, output pixels, first block) per stage.
+
+    `c_in` feeds the stage's entry conv: the stem, which keeps the input
+    size, or a stride-2 transition, which halves it (ceil). `first` is the
+    scheme index of the stage's first block.
+    """
+    c_in, h, w = config.input_shape
+    first = 0
+    for blocks, channels in config.stages:
+        yield c_in, channels, blocks, h * w, first
+        c_in, first = channels, first + blocks
+        h, w = (h - 1) // 2 + 1, (w - 1) // 2 + 1
 
 
-def _convs(config: BackboneConfig):
-    """(c_in, c_out, output pixels) for every 3x3 conv, in forward order."""
-    c_prev = config.input_shape[0]
-    for (nblocks, ch), (h, w) in zip(config.stages, config.stage_spatial()):
-        yield c_prev, ch, h * w  # stem, then each stage's stride-2 transition
-        for _ in range(2 * int(nblocks)):
-            yield ch, ch, h * w
-        c_prev = ch
+def _conv_inputs(c_in: int, channels: int, blocks: int) -> int:
+    """Input channels summed over a stage's 3x3 convs, all `channels` wide:
+    the entry conv, then two per block."""
+    return c_in + 2 * blocks * channels
 
 
 def count_params(config: BackboneConfig, scheme: ConnectionScheme) -> tuple[int, int]:
     """(backbone parameter count, extra attention parameters under `scheme`)."""
-    backbone = sum(c_out * c_in * 9 + c_out for c_in, c_out, _ in _convs(config))
-    backbone += config.classes * config.stage_channels[-1] + config.classes
-    # one attention module per connected block, or per stage with a connected block
-    shared = config.sharing == "per-stage"
-    owners = {si if shared else bi: ch
-              for bi, si, ch, _ in _blocks(config) if scheme.bits[bi]}
-    return backbone, sum(config.sam_param_count(ch) for ch in owners.values())
+    config.check_scheme(scheme)
+    backbone = config.classes * config.stage_channels[-1] + config.classes
+    extra = 0
+    for c_in, ch, nblocks, pixels, first in _stages(config):
+        backbone += 9 * ch * _conv_inputs(c_in, ch, nblocks) + (1 + 2 * nblocks) * ch
+        # one attention module per connected block, or per stage with a connected block
+        modules = int(scheme.bits[first:first + nblocks].sum())
+        if config.sharing == "per-stage":
+            modules = min(modules, 1)
+        extra += modules * config.sam_cost(ch, pixels)[0]
+    return backbone, extra
 
 
 def base_flops(config: BackboneConfig) -> int:
     """Backbone multiply count (conv/dense MACs; pooling additions excluded)."""
-    convs = sum(pixels * c_out * c_in * 9 for c_in, c_out, pixels in _convs(config))
+    convs = sum(9 * ch * _conv_inputs(c_in, ch, nblocks) * pixels
+                for c_in, ch, nblocks, pixels, _ in _stages(config))
     return convs + config.classes * config.stage_channels[-1]
 
 
 def extra_flops(config: BackboneConfig, scheme: ConnectionScheme) -> int:
-    """Extra ops for connected attention modules.
-
-    Channel-squeeze: 2*C*(C//r) + C//r + C MACs plus C*H*W recalibration
-    multiplies per connected block. Group-wise: saliency dots C*H*W, scale
-    ops 2*H*W per group, recalibration C*H*W.
-    """
-    total = 0
-    for bi, _, ch, (sh, sw) in _blocks(config):
-        if not scheme.bits[bi]:
-            continue
-        if config.sam == "se":
-            hidden = ch // config.reduction
-            total += 2 * ch * hidden + hidden + ch + ch * sh * sw
-        else:
-            ngroups = len(channel_groups(ch, config.groups))
-            total += ch * sh * sw + 2 * sh * sw * ngroups + ch * sh * sw
-    return total
+    """Extra ops of the attention modules of connected blocks; a shared
+    module runs once for each connected block it serves."""
+    config.check_scheme(scheme)
+    return sum(int(scheme.bits[first:first + nblocks].sum()) * config.sam_cost(ch, pixels)[1]
+               for _, ch, nblocks, pixels, first in _stages(config))
 
 
 def flop_increment_pct(config: BackboneConfig, scheme: ConnectionScheme) -> float:

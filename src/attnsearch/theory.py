@@ -148,6 +148,9 @@ def min_row_zeroing_error(instance: Thm1Instance) -> tuple[int, float, float]:
     return j, measured, bound
 
 
+_MC_BLOCK_ROWS = 8192
+
+
 def thm1_monte_carlo(d: int, epsilon: float, delta: float, trials: int,
                      rng: np.random.Generator,
                      dof_convention: str = "corrected",
@@ -164,9 +167,13 @@ def thm1_monte_carlo(d: int, epsilon: float, delta: float, trials: int,
     cutoff = epsilon * epsilon  # min ||row||^2 >= eps^2/m  <=>  min sum-sq of raw normals >= eps^2
     failures = 0
     for _ in range(trials):
-        raw = rng.standard_normal((m, d))
-        row_sq = np.einsum("ij,ij->i", raw, raw)
-        if row_sq.min() >= cutoff:
+        # drawn in blocks of rows: the same normal stream as one m x d draw,
+        # without holding all of it
+        smallest = np.inf
+        for start in range(0, m, _MC_BLOCK_ROWS):
+            raw = rng.standard_normal((min(_MC_BLOCK_ROWS, m - start), d))
+            smallest = min(smallest, np.einsum("ij,ij->i", raw, raw).min())
+        if smallest >= cutoff:
             failures += 1
     rate = failures / trials
     band = delta + 3.0 * math.sqrt(delta * (1.0 - delta) / trials)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from attnsearch.attention import (SEModule, SGEModule, channel_groups, recalibrate,
-                                  se_attention, se_param_count, sge_attention,
-                                  sge_param_count)
+                                  se_attention, sge_attention)
 from attnsearch.nncore import grad_check
+from attnsearch.supernet import BackboneConfig
 
 
 def se_reference(x, p):
@@ -73,14 +73,12 @@ class TestSEAttention:
         with pytest.raises(ValueError, match="channels"):
             se_attention(np.zeros((4, 3, 3)), p)
 
-    def test_param_count_formula_matches_allocation(self):
-        for c, r in [(8, 4), (16, 4), (32, 8), (6, 2)]:
-            p = SEModule(c, r, np.random.default_rng(6))
-            assert p.param_count() == se_param_count(c, r)
-
     def test_count_example(self):
         # C=8, r=4: 8*2*2 + 2 + 8 = 42
-        assert se_param_count(8, 4) == 42
+        cfg = BackboneConfig(stages=((1, 8),), input_shape=(1, 4, 4), classes=2,
+                             sam="se", reduction=4)
+        assert cfg.sam_cost(8, 16)[0] == 42
+        assert SEModule(8, 4, np.random.default_rng(6)).param_count() == 42
 
     def test_reduction_too_large(self):
         with pytest.raises(ValueError, match="reduction"):
@@ -120,7 +118,6 @@ class TestSGEAttention:
         slices = channel_groups(10, 4)
         sizes = [s.stop - s.start for s in slices]
         assert sizes == [3, 3, 3, 1]
-        assert sge_param_count(10, 4) == 8
 
     def test_grouping_may_truncate(self):
         assert [s.stop - s.start for s in channel_groups(6, 4)] == [2, 2, 2]

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from attnsearch.cli import main, read_csv, write_csv
+from attnsearch.config import ExperimentConfig
+from attnsearch.search import SupernetEvaluator
+from attnsearch.supernet import ConnectionScheme, count_params, flop_increment_pct
 
 TINY = {
     "seed": 4,
@@ -145,6 +148,23 @@ class TestEnumerateAndStudy:
         for stats in summary["per_ratio"].values():
             assert stats["min"] <= stats["mean"] <= stats["max"]
 
+    def test_study_rows_carry_cost_columns(self, tmp_path):
+        cfg = dict(TINY, output_dir=str(tmp_path / "o"), study={"ratios": [0.5],
+                                                                "samples_per_ratio": 4})
+        cfg["backbone"] = {"stages": [[4, 8], [4, 8]], "input_shape": [1, 6, 6],
+                           "classes": 3, "sam": "se", "reduction": 4}
+        path = tmp_path / "cost.json"
+        path.write_text(json.dumps(cfg))
+        assert run("study", "--config", path) == 0
+        backbone = ExperimentConfig.from_file(path).backbone
+        _, rows = read_csv(tmp_path / "o" / "study_rows.csv")
+        assert len(rows) == 4
+        for r in rows:
+            scheme = ConnectionScheme.from_string(r["scheme"])
+            # C=8, r=4: 8*2*2 + 2 + 8 = 42 parameters per connected block
+            assert int(r["extra_params"]) == 4 * 42 == count_params(backbone, scheme)[1]
+            assert float(r["flop_increment_pct"]) == flop_increment_pct(backbone, scheme) > 0
+
     def test_report_recomputes_summary(self, tiny_config, tmp_path):
         out = tmp_path / "out"
         assert run("study", "--config", tiny_config) == 0
@@ -162,6 +182,16 @@ class TestEnumerateAndStudy:
         assert run("report", "--rows", out / "study_rows.csv",
                    "--config", other) == 1
 
+    @pytest.mark.parametrize("missing", ["ratio", "accuracy"])
+    def test_report_refuses_rows_without_a_summary_column(self, tmp_path, capsys, missing):
+        rows = tmp_path / "rows.csv"
+        row = {"scheme": "0110", "ones": 2, "ratio": 0.5, "accuracy": 0.75}
+        columns = [c for c in row if c != missing]
+        write_csv(rows, "d" * 64, columns, [[row[c] for c in columns]])
+        assert run("report", "--rows", rows) == 1
+        assert capsys.readouterr().err == f"error: {rows}: no {missing!r} column\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
 
 class TestBaselines:
     def test_hsp(self, tiny_config, tmp_path):
@@ -175,6 +205,33 @@ class TestBaselines:
                    "--population", 8, "--generations", 4) == 0
         payload = json.loads((tmp_path / "out" / "baseline_ga.json").read_text())
         assert len(payload["scheme"]) == 4
+
+    @pytest.mark.parametrize("generations", [0, -3])
+    def test_ga_refuses_fewer_than_one_generation(self, tiny_config, tmp_path, capsys,
+                                                  generations):
+        assert run("baseline", "ga", "--config", tiny_config,
+                   "--generations", generations) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: generations must be at least 1, got {generations}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_ga_scores_each_distinct_scheme_once(self, tiny_config, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert run("pretrain", "--config", tiny_config) == 0
+        calls = {}
+        score = SupernetEvaluator.__call__
+
+        def counted(self, scheme):
+            calls[scheme.to_string()] = calls.get(scheme.to_string(), 0) + 1
+            return score(self, scheme)
+
+        monkeypatch.setattr(SupernetEvaluator, "__call__", counted)
+        assert run("baseline", "ga", "--config", tiny_config, "--backend", "supernet",
+                   "--checkpoint", out / "supernet.ckpt",
+                   "--population", 8, "--generations", 4) == 0
+        payload = json.loads((out / "baseline_ga.json").read_text())
+        assert payload["scheme"] in calls
+        assert max(calls.values()) == 1, calls
 
     def test_l1_needs_checkpoint(self, tiny_config):
         assert run("baseline", "l1", "--config", tiny_config) == 1
@@ -257,21 +314,27 @@ class TestErrors:
         ("supernet", {"lr_drop_factor": -1.0},
          "'supernet.lr_drop_factor' must be > 0, got -1.0"),
         ("supernet", {"lr_drop_factor": 0}, "'supernet.lr_drop_factor' must be > 0, got 0"),
+        ("backbone", {"reduction": 0}, "reduction 0 must lie in [1, 4]"),
+        ("backbone", {"reduction": 5}, "reduction 5 must lie in [1, 4]"),
+        ("backbone", {"sam": "sge", "groups": 0}, "groups 0 must lie in [1, 4]"),
+        ("backbone", {"sam": "sge", "groups": 5}, "groups 5 must lie in [1, 4]"),
     ], ids=["string-steps", "zero-channels", "no-stages", "class-mismatch", "ratio-text",
             "bogus-dof", "zero-probes", "zero-ppo-period", "zero-buffer", "zero-batch",
             "negative-steps", "zero-samples-per-ratio", "negative-lr-drop",
-            "zero-lr-drop"])
+            "zero-lr-drop", "zero-reduction", "reduction-past-width", "zero-groups",
+            "groups-past-width"])
     def test_bad_config_exits_1_with_one_line(self, tmp_path, capsys, section, patch, message):
         cfg = dict(TINY, output_dir=str(tmp_path / "o"))
         cfg[section] = {k: v for k, v in {**TINY.get(section, {}), **patch}.items()
                         if v is not None}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
-        assert run("pretrain", "--config", path) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert message in err
-        assert not (tmp_path / "o").exists()
+        for command in ("pretrain", "study"):
+            assert run(command, "--config", path) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert message in err
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("label", [3, -1], ids=["past-last-class", "negative"])
     def test_csv_label_outside_classes_exits_1_with_one_line(self, tmp_path, capsys, label):

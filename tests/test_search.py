@@ -9,7 +9,8 @@ from attnsearch.search import (PeakedLandscape, SearchBudget, SyntheticLandscape
                                all_schemes, classify_ticket, ean_search,
                                exhaustive_search, ga_search, hsp_scheme,
                                l1_prune_baseline, random_ratio_study)
-from attnsearch.supernet import BackboneConfig, ConnectionScheme, SupernetState
+from attnsearch.supernet import (BackboneConfig, ConnectionScheme, SupernetState,
+                                 count_params, flop_increment_pct)
 
 
 def make_controller(m, seed, **kw):
@@ -105,10 +106,11 @@ class TestRandomRatioStudy:
         cfg = BackboneConfig(stages=((4, 8), (4, 8)), input_shape=(1, 8, 8),
                              classes=4, sam="se", reduction=4)
         rows = random_ratio_study(lambda s: 0.5, 8, [0.5], 4,
-                                  np.random.default_rng(12), config=cfg)
+                                  np.random.default_rng(12))
         for r in rows:
-            assert r["extra_params"] == 4 * 42
-            assert r["flop_increment_pct"] > 0
+            scheme = ConnectionScheme.from_string(r["scheme"])
+            assert count_params(cfg, scheme)[1] == 4 * 42
+            assert flop_increment_pct(cfg, scheme) > 0
 
 
 class TestHSP:

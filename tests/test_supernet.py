@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attnsearch.attention import se_attention
+from attnsearch import nncore
+from attnsearch.attention import SEModule, se_attention
 from attnsearch.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from attnsearch.data import Dataset, make_blob_dataset
 from attnsearch.nncore import OptimizerConfig, grad_check
-from attnsearch.supernet import (BackboneConfig, ConnectionScheme, SupernetState,
+from attnsearch.supernet import (BackboneConfig, ConnectionScheme, ResidualBlock, SupernetState,
                                  base_flops, count_params, evaluate_scheme,
                                  extra_flops, flop_increment_pct,
                                  inference_time_increment,
@@ -354,6 +355,77 @@ class TestAccounting:
 
     def test_base_flops_positive(self):
         assert base_flops(CFG) > 0
+
+    @pytest.mark.parametrize("bits", ["11", "11110"])
+    def test_scheme_length_must_match_the_blocks(self, bits):
+        for cost in (count_params, extra_flops):
+            with pytest.raises(ValueError, match=f"scheme length {len(bits)} does not match"):
+                cost(CFG, ConnectionScheme.from_string(bits))
+
+    @settings(deadline=None, max_examples=60)
+    @given(sam=st.sampled_from(["se", "sge"]),
+           sharing=st.sampled_from(["per-block", "per-stage"]),
+           stages=st.lists(st.tuples(st.integers(1, 3), st.integers(2, 9)),
+                           min_size=1, max_size=3),
+           shape=st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9)),
+           data=st.data())
+    def test_costs_match_the_built_net(self, sam, sharing, stages, shape, data):
+        narrowest = min(c for _, c in stages)
+        cfg = BackboneConfig(stages=tuple(stages), input_shape=shape, classes=3, sam=sam,
+                             sharing=sharing,
+                             reduction=data.draw(st.integers(1, narrowest)),
+                             groups=data.draw(st.integers(1, narrowest)))
+        m = cfg.total_blocks
+        scheme = ConnectionScheme(data.draw(st.lists(st.integers(0, 1), min_size=m,
+                                                     max_size=m)))
+        net = SupernetState(cfg, 3)
+        backbone, extra = count_params(cfg, scheme)
+        assert backbone == sum(p.size for name, p in net.named_parameters()
+                               if ".sam." not in name)
+        assert extra == sum(sam.param_count() for sam in net.sam_modules(scheme))
+        # per-block reference: each connected block runs its module once on
+        # the feature map a real forward hands it
+        ops, x = 0, np.zeros((1, *shape))
+        bits = iter(scheme.bits)
+        for layer in net.layers:
+            if not isinstance(layer, ResidualBlock):
+                x = layer.forward(x)
+                continue
+            _, c, h, w = x.shape
+            if next(bits):
+                if isinstance(layer.sam, SEModule):  # two dense layers with biases
+                    ops += layer.sam.param_count() + c * h * w
+                else:  # saliency dots, per-group scale/shift, recalibration
+                    ops += 2 * c * h * w + 2 * h * w * len(layer.sam.slices)
+            x = layer.forward(x, 0)
+        assert extra_flops(cfg, scheme) == ops
+
+    @pytest.mark.parametrize("shape", [(1, 6, 6), (2, 7, 5)])
+    def test_base_flops_counts_the_conv_macs_of_a_forward(self, monkeypatch, shape):
+        cfg = BackboneConfig(stages=((2, 4), (1, 6), (1, 3)), input_shape=shape,
+                             classes=3, sam="se", reduction=2)
+        net = SupernetState(cfg, 5)
+        conv_forward, macs = nncore._conv_forward, []
+
+        def counted(x, kernel, bias, stride, pad):
+            y, xp = conv_forward(x, kernel, bias, stride, pad)
+            macs.append(y.size * kernel[0].size)  # c_in*k*k per output element
+            return y, xp
+
+        monkeypatch.setattr(nncore, "_conv_forward", counted)
+        batch = 3
+        net.forward(np.zeros((batch, *shape)), ConnectionScheme.ones(4))
+        assert len(macs) == 1 + 2 + 2 * 4  # stem, transitions, two per block
+        dense = cfg.classes * cfg.stage_channels[-1]
+        assert sum(macs) == batch * (base_flops(cfg) - dense)
+
+    @pytest.mark.parametrize("sam, checked, ignored",
+                             [("se", "reduction", "groups"), ("sge", "groups", "reduction")])
+    def test_only_the_attention_kind_in_use_is_checked(self, sam, checked, ignored):
+        layout = dict(stages=((1, 4),), input_shape=(1, 4, 4), classes=2, sam=sam)
+        assert getattr(BackboneConfig(**layout, **{ignored: 99}), ignored) == 99
+        with pytest.raises(ValueError, match=rf"{checked} 5 must lie in \[1, 4\]"):
+            BackboneConfig(**layout, **{checked: 5})
 
 
 class TestTiming:

@@ -185,6 +185,20 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             thm1_monte_carlo(4, 1.0, 0.1, 50, np.random.default_rng(10))
 
+    def test_row_blocks_match_one_draw_per_trial(self):
+        # 20000 rows span several blocks and end on a partial one
+        d, eps, trials, m = 4, 0.13, 100, 20000
+        rng = np.random.default_rng(11)
+        out = thm1_monte_carlo(d, eps, 0.2, trials, rng, "corrected", m=m)
+        ref_rng = np.random.default_rng(11)
+        failures = 0
+        for _ in range(trials):
+            raw = ref_rng.standard_normal((m, d))
+            failures += int(np.einsum("ij,ij->i", raw, raw).min() >= eps * eps)
+        assert 0 < failures < trials
+        assert out["failure_rate"] == failures / trials
+        assert rng.random() == ref_rng.random()  # the same number of draws
+
 
 class TestExtension:
     def test_function_preserved_exactly(self):
