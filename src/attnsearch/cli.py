@@ -57,25 +57,31 @@ def write_csv(path, digest: str, columns, rows) -> None:
 
 
 def read_csv(path, required=()) -> tuple[str, list[dict]]:
-    """(digest, rows as dicts); a header without a `required` column is refused."""
+    """(digest, rows as dicts), `required` columns read as numbers. A missing
+    column, a wrong field count or a non-number is refused with its location."""
     digest = ""
-    rows: list[dict] = []
-    columns: list[str] | None = None
+    lines = []  # (line number, fields), the header first
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if line.startswith("# config_digest="):
                 digest = line.split("=", 1)[1]
-                continue
-            if not line:
-                continue
-            if columns is None:
-                columns = line.split(",")
-                continue
-            rows.append(dict(zip(columns, line.split(","))))
+            elif line:
+                lines.append((line_no, line.split(",")))
+    columns = lines[0][1] if lines else []
     for name in required:
-        if name not in (columns or []):
+        if name not in columns:
             raise ValueError(f"{path}: no {name!r} column")
+    rows = []
+    for line_no, fields in lines[1:]:
+        try:
+            if len(fields) != len(columns):
+                raise ValueError(f"expected {len(columns)} fields, got {len(fields)}")
+            row = dict(zip(columns, fields))
+            row.update((name, float(row[name])) for name in required)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
+        rows.append(row)
     return digest, rows
 
 
@@ -274,6 +280,9 @@ def cmd_verify_thm1(args) -> int:
 
 
 def cmd_extend_demo(args) -> int:
+    for flag in ("dim", "depth", "width", "probes"):
+        if getattr(args, flag) < 1:
+            raise _UsageError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     cfg, outdir, digest = _prepare(args)
     rng = cfg.rng("extend-demo")
     narrow = ResNetChain.random(args.dim, [args.width] * args.depth, rng)
@@ -305,12 +314,10 @@ def cmd_report(args) -> int:
             raise _UsageError(
                 f"rows file digest {digest[:12]}… does not match config "
                 f"{cfg.digest()[:12]}…")
-    parsed = [{"ratio": float(r["ratio"]), "accuracy": float(r["accuracy"])}
-              for r in rows]
     out = args.out or os.path.join(os.path.dirname(args.rows) or ".",
                                    "report_summary.json")
-    write_json(out, digest, {"per_ratio": _per_ratio(parsed), "rows": len(parsed)})
-    print(f"report over {len(parsed)} rows -> {out}")
+    write_json(out, digest, {"per_ratio": _per_ratio(rows), "rows": len(rows)})
+    print(f"report over {len(rows)} rows -> {out}")
     return 0
 
 

@@ -38,6 +38,9 @@ class DatasetSpec:
     blobs_per_class: int = 2
     csv_path: str | None = None
 
+    def __post_init__(self) -> None:
+        _check_at_least("dataset", self, 1, "classes", "per_class", "blobs_per_class")
+
 
 @dataclass(frozen=True)
 class SupernetSpec:
@@ -53,9 +56,7 @@ class SupernetSpec:
     def __post_init__(self) -> None:
         _check_at_least("supernet", self, 0, "steps")
         _check_at_least("supernet", self, 1, "batch_size")
-        if not self.lr_drop_factor > 0:  # also refuses NaN
-            raise ValueError("config field 'supernet.lr_drop_factor' must be > 0, "
-                             f"got {self.lr_drop_factor!r}")
+        _require("supernet", self, "lr_drop_factor", self.lr_drop_factor > 0, "be > 0")
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,9 @@ class ControllerSpec:
     clip_ratios: bool = True
 
     def __post_init__(self) -> None:
-        _check_at_least("controller", self, 1, "ppo_period", "buffer_capacity")
+        _check_at_least("controller", self, 1, "hidden", "ppo_period", "buffer_capacity")
+        _require("controller", self, "learning_rate", self.learning_rate > 0, "be > 0")
+        _require("controller", self, "momentum", 0 <= self.momentum < 1, "lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,7 @@ class StudySpec:
     samples_per_ratio: int = 20
 
     def __post_init__(self) -> None:
+        _require("study", self, "ratios", len(self.ratios) > 0, "not be empty")
         if not all(isinstance(r, (int, float)) and not isinstance(r, bool) and 0 <= r <= 1
                    for r in self.ratios):
             raise ValueError(f"study ratios must be numbers in [0, 1], got {list(self.ratios)}")
@@ -143,11 +147,8 @@ class ExperimentConfig:
 
     # -- identity -----------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return _listify(dataclasses.asdict(self))
-
     def digest(self) -> str:
-        payload = self.to_dict()
+        payload = dataclasses.asdict(self)
         payload.pop("output_dir")  # relocating outputs keeps the identity
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
@@ -234,12 +235,15 @@ def _from_dict(cls, raw: dict, section: str):
     return cls(**kwargs)
 
 
+def _require(section: str, spec, name: str, ok: bool, rule: str) -> None:
+    if not ok:  # a NaN fails every comparison, so `ok` is False for it too
+        raise ValueError(f"config field '{section}.{name}' must {rule}, "
+                         f"got {getattr(spec, name)!r}")
+
+
 def _check_at_least(section: str, spec, minimum: int, *names: str) -> None:
     for name in names:
-        value = getattr(spec, name)
-        if value < minimum:
-            raise ValueError(f"config field '{section}.{name}' must be >= {minimum}, "
-                             f"got {value!r}")
+        _require(section, spec, name, getattr(spec, name) >= minimum, f"be >= {minimum}")
 
 
 # JSON value types each field annotation accepts; a JSON integer is a valid float
@@ -258,12 +262,4 @@ def _check_type(name: str, value, hint) -> None:
 def _tuplify(obj):
     if isinstance(obj, list):
         return tuple(_tuplify(v) for v in obj)
-    return obj
-
-
-def _listify(obj):
-    if isinstance(obj, dict):
-        return {k: _listify(v) for k, v in obj.items()}
-    if isinstance(obj, tuple):
-        return [_listify(v) for v in obj]
     return obj

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import Parameter, sigmoid
+from .nncore import OptimizerConfig, Parameter, sgd_momentum_step, sigmoid
 from .supernet import ConnectionScheme
 
 PROB_FLOOR = 1e-6
@@ -47,8 +47,7 @@ class ControllerState:
         self.b1 = Parameter(rng.standard_normal(hidden))
         self.w2 = Parameter(np.zeros((m, hidden)))
         self.b2 = Parameter(np.zeros(m))
-        self.lr = lr
-        self.momentum_coef = momentum
+        self.opt = OptimizerConfig(lr, momentum)
         self.ppo_period = ppo_period
         self.clip_ratios = clip_ratios
         self.ratio_bounds = ratio_bounds
@@ -128,10 +127,10 @@ def reinforce_gradient(state: ControllerState, scheme: ConnectionScheme,
 
 
 def _ascend(state: ControllerState, grads) -> None:
+    # ascent is descent on the negated gradient, and negation is exact
     for p, g in zip(state.parameters(), grads):
-        p.momentum *= state.momentum_coef
-        p.momentum += g
-        p.value += state.lr * p.momentum
+        p.grad -= g
+    sgd_momentum_step(state.parameters(), state.opt)
 
 
 def reinforce_update(state: ControllerState, scheme: ConnectionScheme,

@@ -331,7 +331,7 @@ def l1_prune_baseline(net: SupernetState, keep_ratio: float) -> ConnectionScheme
         raise ValueError("magnitude pruning needs per-block attention parameters")
     if not 0.0 <= keep_ratio <= 1.0:
         raise ValueError("keep_ratio must lie in [0,1]")
-    m = net.total_blocks
+    m = net.config.total_blocks
     norms = np.array([sum(float(np.abs(p.value).sum()) for p in b.sam.parameters())
                       for b in net.blocks])
     keep = int(round(keep_ratio * m))

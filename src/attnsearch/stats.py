@@ -5,7 +5,6 @@ statistics for violin-style study reports."""
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -54,19 +53,12 @@ def pearson_pvalue_one_sided(r: float, n: int) -> float:
 
 
 def aggregate_violin(rows) -> dict:
-    """Per-ratio (max, mean, min) over rows carrying `ratio` and `accuracy`.
-
-    Empty groups are skipped with a warning.
-    """
+    """Per-ratio (max, mean, min) over rows carrying `ratio` and `accuracy`."""
     groups: dict[float, list[float]] = {}
     for row in rows:
         groups.setdefault(float(row["ratio"]), []).append(float(row["accuracy"]))
     out = {}
     for ratio in sorted(groups):
-        values = groups[ratio]
-        if not values:
-            warnings.warn(f"empty group at ratio {ratio}; skipped", stacklevel=2)
-            continue
-        arr = np.asarray(values)
+        arr = np.asarray(groups[ratio])
         out[ratio] = (float(arr.max()), float(arr.mean()), float(arr.min()))
     return out

@@ -17,7 +17,7 @@ import numpy as np
 from .attention import SEModule, SGEModule, channel_groups, recalibrate
 from .data import Dataset
 from .nncore import (Conv2d, Dense, GlobalAvgPool, OptimizerConfig, ReLU,
-                     Sequential, sgd_momentum_step, softmax_cross_entropy_batch)
+                     sgd_momentum_step, softmax_cross_entropy_batch)
 from .rngstreams import named_rng
 
 
@@ -76,6 +76,10 @@ class ConnectionScheme:
         return f"ConnectionScheme({self.to_string()!r})"
 
 
+def _positive_ints(values) -> bool:
+    return all(isinstance(v, Integral) and not isinstance(v, bool) and v >= 1 for v in values)
+
+
 @dataclass(frozen=True)
 class BackboneConfig:
     """Stage layout plus attention kind and sharing mode."""
@@ -90,12 +94,13 @@ class BackboneConfig:
 
     def __post_init__(self) -> None:
         pairs = all(isinstance(stage, (tuple, list)) and len(stage) == 2
-                    and all(isinstance(v, Integral) and not isinstance(v, bool) and v >= 1
-                            for v in stage)
-                    for stage in self.stages)
+                    and _positive_ints(stage) for stage in self.stages)
         if not self.stages or not pairs:
             raise ValueError("every stage needs a (blocks, channels) pair of positive "
                              f"integers, got {self.stages!r}")
+        if len(self.input_shape) != 3 or not _positive_ints(self.input_shape):
+            raise ValueError("input_shape must be three positive integers (C, H, W), "
+                             f"got {self.input_shape!r}")
         if self.sam not in ("se", "sge"):
             raise ValueError(f"unknown attention kind {self.sam!r}")
         if self.sharing not in ("per-block", "per-stage"):
@@ -174,36 +179,33 @@ class SupernetState:
 
     def __init__(self, config: BackboneConfig, seed: int) -> None:
         self.config = config
-        self.seed = seed
         init_rng = named_rng(seed, "supernet-init")
         self.mask_rng = named_rng(seed, "supernet-mask")
         self.data_rng = named_rng(seed, "supernet-data")
-        self.layers = []  # every layer in forward order; backward walks it reversed
-        self.transitions = []
-        self.blocks = []
+        # every layer in forward order; backward walks it reversed. Each stage
+        # opens with a conv: the stem keeps the input size, later ones stride 2
+        self.layers = []
         for c_in, ch, nblocks, _, first in _stages(config):
-            # the stem keeps the input size; later stages open with a stride-2 transition
-            entry = Sequential(Conv2d(c_in, ch, 3, 2 if self.blocks else 1, 1, init_rng), ReLU())
-            if self.blocks:
-                self.transitions.append(entry)
-            else:
-                self.stem = entry
-            self.blocks += [ResidualBlock(ch, init_rng) for _ in range(nblocks)]
-            self.layers += [entry, *self.blocks[first:]]
+            self.layers += [Conv2d(c_in, ch, 3, 2 if first else 1, 1, init_rng), ReLU(),
+                            *(ResidualBlock(ch, init_rng) for _ in range(nblocks))]
         for _, ch, nblocks, _, first in _stages(config):
             shared = config.make_sam(ch, init_rng) if config.sharing == "per-stage" else None
             for block in self.blocks[first:first + nblocks]:
                 block.sam = shared if shared is not None else config.make_sam(ch, init_rng)
-        self.fc = Dense(config.stage_channels[-1], config.classes, init_rng)
-        self.layers += [GlobalAvgPool(), self.fc]
+        self.layers += [GlobalAvgPool(), Dense(config.stage_channels[-1], config.classes, init_rng)]
         self.step_count = 0
         self.pretrained = False
 
-    # -- forward / backward ------------------------------------------------
+    @property
+    def blocks(self) -> list:
+        """The residual blocks, in scheme order."""
+        return [layer for layer in self.layers if isinstance(layer, ResidualBlock)]
 
     @property
-    def total_blocks(self) -> int:
-        return len(self.blocks)
+    def fc(self) -> Dense:
+        return self.layers[-1]
+
+    # -- forward / backward ------------------------------------------------
 
     def forward(self, x, scheme: ConnectionScheme, train: bool = False):
         self.config.check_scheme(scheme)
@@ -249,9 +251,10 @@ class SupernetState:
     def _convs(self):
         """(owner, index, name, Conv2d) for the stem, transition and block
         convs, in checkpoint order; the stem's index is empty."""
-        yield "stem", "", "conv", self.stem.layers[0]
-        for ti, t in enumerate(self.transitions):
-            yield "transition", ti, "conv", t.layers[0]
+        stem, *transitions = [layer for layer in self.layers if isinstance(layer, Conv2d)]
+        yield "stem", "", "conv", stem
+        for ti, conv in enumerate(transitions):
+            yield "transition", ti, "conv", conv
         for bi, b in enumerate(self.blocks):
             yield "block", bi, "conv1", b.conv1
             yield "block", bi, "conv2", b.conv2
@@ -325,7 +328,7 @@ def pretrain_supernet(net: SupernetState, train_set: Dataset, beta: float, steps
     Attention parameters of blocks disconnected in a step are untouched by
     that step (no gradient, no momentum drift, no decay).
     """
-    m = net.total_blocks
+    m = net.config.total_blocks
     _train_loop(net, train_set,
                 lambda: sample_bernoulli_scheme(beta, m, net.mask_rng),
                 steps, batch_size, opt, lr_drop_step, lr_drop_factor)
@@ -419,7 +422,7 @@ def inference_time_increment(net: SupernetState, scheme: ConnectionScheme,
         raise ValueError("repetitions must be >= 1")
     if scheme.ones_count == 0:
         return 0.0
-    zeros = ConnectionScheme.zeros(net.total_blocks)
+    zeros = ConnectionScheme.zeros(net.config.total_blocks)
     # scheme and base runs alternate, so machine drift hits both medians alike
     t_scheme, t_base = [], []
     for _ in range(repetitions):

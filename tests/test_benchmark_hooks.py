@@ -35,3 +35,13 @@ def test_every_wrapped_path_resolves():
         else:
             ok = inspect.isfunction(getattr(module, path, None))
         assert ok, f"attnsearch.{module_name}.{path} is not a function or method"
+
+
+def test_supernet_attributes_the_tracer_reads_resolve():
+    """Read directly, not wrapped: `pre_clip_norm` calls
+    `SupernetState.active_parameters`, and `_targets` takes `train_step`'s
+    `clip_norm` default from its signature."""
+    from attnsearch.supernet import SupernetState
+    assert inspect.isfunction(vars(SupernetState).get("active_parameters"))
+    clip = inspect.signature(SupernetState.train_step).parameters.get("clip_norm")
+    assert clip is not None and clip.default is not inspect.Parameter.empty

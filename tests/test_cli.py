@@ -192,6 +192,22 @@ class TestEnumerateAndStudy:
         assert capsys.readouterr().err == f"error: {rows}: no {missing!r} column\n"
         assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
+    @pytest.mark.parametrize("last, message", [
+        ("0011,2", "expected 6 fields, got 2"),
+        ("0011,2,0.5,0.75,84,3.1,7", "expected 6 fields, got 7"),
+        ("0011,2,half,0.75,84,3.1", "could not convert string to float: 'half'"),
+        ("0011,2,0.5,abc,84,3.1", "could not convert string to float: 'abc'"),
+    ], ids=["truncated", "extra-field", "text-ratio", "text-accuracy"])
+    def test_report_names_the_line_of_a_bad_row(self, tmp_path, capsys, last, message):
+        rows = tmp_path / "rows.csv"
+        columns = ["scheme", "ones", "ratio", "accuracy", "extra_params", "flop_increment_pct"]
+        write_csv(rows, "d" * 64, columns, [["0110", 2, 0.5, 0.75, 84, 3.1]] * 2)
+        with open(rows, "a", encoding="utf-8") as fh:
+            fh.write(last)  # the last line, cut before its newline
+        assert run("report", "--rows", rows) == 1
+        assert capsys.readouterr().err == f"error: {rows}:5: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
 
 class TestBaselines:
     def test_hsp(self, tiny_config, tmp_path):
@@ -318,11 +334,28 @@ class TestErrors:
         ("backbone", {"reduction": 5}, "reduction 5 must lie in [1, 4]"),
         ("backbone", {"sam": "sge", "groups": 0}, "groups 0 must lie in [1, 4]"),
         ("backbone", {"sam": "sge", "groups": 5}, "groups 5 must lie in [1, 4]"),
+        ("backbone", {"input_shape": [1, 0, 6]},
+         "input_shape must be three positive integers (C, H, W), got (1, 0, 6)"),
+        ("controller", {"learning_rate": 0}, "'controller.learning_rate' must be > 0, got 0"),
+        ("controller", {"learning_rate": -0.05},
+         "'controller.learning_rate' must be > 0, got -0.05"),
+        ("controller", {"momentum": 1.0}, "'controller.momentum' must lie in [0, 1), got 1.0"),
+        ("controller", {"momentum": -0.5},
+         "'controller.momentum' must lie in [0, 1), got -0.5"),
+        ("controller", {"hidden": 0}, "'controller.hidden' must be >= 1, got 0"),
+        ("controller", {"hidden": -1}, "'controller.hidden' must be >= 1, got -1"),
+        ("study", {"ratios": []}, "'study.ratios' must not be empty"),
+        ("dataset", {"blobs_per_class": 0}, "'dataset.blobs_per_class' must be >= 1, got 0"),
+        ("dataset", {"per_class": -1}, "'dataset.per_class' must be >= 1, got -1"),
+        ("dataset", {"classes": -1}, "'dataset.classes' must be >= 1, got -1"),
     ], ids=["string-steps", "zero-channels", "no-stages", "class-mismatch", "ratio-text",
             "bogus-dof", "zero-probes", "zero-ppo-period", "zero-buffer", "zero-batch",
             "negative-steps", "zero-samples-per-ratio", "negative-lr-drop",
             "zero-lr-drop", "zero-reduction", "reduction-past-width", "zero-groups",
-            "groups-past-width"])
+            "groups-past-width", "zero-input-height", "zero-controller-lr",
+            "negative-controller-lr", "controller-momentum-one",
+            "negative-controller-momentum", "zero-hidden", "negative-hidden",
+            "no-ratios", "zero-blobs", "negative-per-class", "negative-classes"])
     def test_bad_config_exits_1_with_one_line(self, tmp_path, capsys, section, patch, message):
         cfg = dict(TINY, output_dir=str(tmp_path / "o"))
         cfg[section] = {k: v for k, v in {**TINY.get(section, {}), **patch}.items()
@@ -335,6 +368,12 @@ class TestErrors:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert message in err
             assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["--dim", "--depth", "--width", "--probes"])
+    def test_extend_demo_refuses_sizes_below_one(self, tiny_config, tmp_path, capsys, flag):
+        assert run("extend-demo", "--config", tiny_config, flag, 0) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be >= 1, got 0\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("label", [3, -1], ids=["past-last-class", "negative"])
     def test_csv_label_outside_classes_exits_1_with_one_line(self, tmp_path, capsys, label):

@@ -122,8 +122,7 @@ class TestReinforce:
             np.testing.assert_array_equal(p.value, b)
 
     def test_positive_reward_increases_log_probability(self):
-        st = randomized_state(seed=7)
-        st.lr = 1e-3
+        st = randomized_state(seed=7, lr=1e-3)
         rng = np.random.default_rng(8)
         scheme, p_hat, _ = sample_and_score(controller_forward(st), rng)
         before = reinforce_objective(st, scheme, 1.0)
@@ -131,8 +130,7 @@ class TestReinforce:
         assert reinforce_objective(st, scheme, 1.0) > before
 
     def test_small_step_raises_resample_probability(self):
-        st = randomized_state(seed=9)
-        st.lr = 1e-2
+        st = randomized_state(seed=9, lr=1e-2)
         rng = np.random.default_rng(10)
         scheme, p_hat, log_prob = sample_and_score(controller_forward(st), rng)
         reinforce_update(st, scheme, p_hat, 0.7)

@@ -34,14 +34,16 @@ def small_batch(seed=100, n=4, cfg=CFG):
     return rng.random((n, *cfg.input_shape))
 
 
+def entry_convs(net):
+    """Each stage's opening conv: the stem, then the stride-2 transitions."""
+    return [layer for layer in net.layers if isinstance(layer, nncore.Conv2d)]
+
+
 def plain_backbone_forward(net, x):
     """Independent gate-free forward: stem, residual blocks, transitions, head."""
-    h = np.maximum(net.stem.layers[0].forward(x), 0.0)
-    bi = 0
-    for si, (nblocks, _) in enumerate(net.config.stages):
-        if si > 0:
-            conv = net.transitions[si - 1].layers[0]
-            h = np.maximum(conv.forward(h), 0.0)
+    h, bi = x, 0
+    for conv, (nblocks, _) in zip(entry_convs(net), net.config.stages):
+        h = np.maximum(conv.forward(h), 0.0)
         for _ in range(int(nblocks)):
             blk = net.blocks[bi]
             f = blk.conv2.forward(np.maximum(blk.conv1.forward(h), 0.0))
@@ -54,12 +56,9 @@ def plain_backbone_forward(net, x):
 def full_sa_forward(net, x):
     """Independent all-connected forward; the mask path is recomputed per
     sample through the functional attention op."""
-    h = np.maximum(net.stem.layers[0].forward(x), 0.0)
-    bi = 0
-    for si, (nblocks, _) in enumerate(net.config.stages):
-        if si > 0:
-            conv = net.transitions[si - 1].layers[0]
-            h = np.maximum(conv.forward(h), 0.0)
+    h, bi = x, 0
+    for conv, (nblocks, _) in zip(entry_convs(net), net.config.stages):
+        h = np.maximum(conv.forward(h), 0.0)
         for _ in range(int(nblocks)):
             blk = net.blocks[bi]
             f = blk.conv2.forward(np.maximum(blk.conv1.forward(h), 0.0))
@@ -84,6 +83,16 @@ class TestForwardWithScheme:
         got = net.forward(x, ConnectionScheme.ones(4))
         np.testing.assert_allclose(got, full_sa_forward(net, x), atol=1e-12)
 
+    def test_layers_are_one_forward_order_list(self):
+        net = small_net()
+        kinds = [type(layer).__name__ for layer in net.layers]
+        assert kinds == ["Conv2d", "ReLU", "ResidualBlock", "ResidualBlock",
+                         "Conv2d", "ReLU", "ResidualBlock", "ResidualBlock",
+                         "GlobalAvgPool", "Dense"]
+        assert [conv.stride for conv in entry_convs(net)] == [1, 2]
+        assert [id(b) for b in net.blocks] == [id(net.layers[i]) for i in (2, 3, 6, 7)]
+        assert net.fc is net.layers[-1]
+
     def test_length_mismatch(self):
         net = small_net()
         with pytest.raises(ValueError, match="length"):
@@ -94,12 +103,9 @@ class TestForwardWithScheme:
         x = small_batch(103)
 
         def block_outputs(scheme):
-            outs = []
-            h = net.stem.forward(x)
-            bi = 0
-            for si, (nblocks, _) in enumerate(net.config.stages):
-                if si > 0:
-                    h = net.transitions[si - 1].forward(h)
+            outs, h, bi = [], x, 0
+            for conv, (nblocks, _) in zip(entry_convs(net), net.config.stages):
+                h = np.maximum(conv.forward(h), 0.0)
                 for _ in range(int(nblocks)):
                     h = net.blocks[bi].forward(h, int(scheme.bits[bi]))
                     outs.append(h.copy())
@@ -591,7 +597,7 @@ class TestParameterLayout:
 def reference_pretrain(net, train_set, beta, steps, batch_size, opt, lr_drop_step,
                        lr_drop_factor):
     """The masked pre-training loop written out step by step."""
-    m, n = net.total_blocks, len(train_set)
+    m, n = net.config.total_blocks, len(train_set)
     for step in range(steps):
         scheme = sample_bernoulli_scheme(beta, m, net.mask_rng)
         idx = net.data_rng.integers(0, n, size=batch_size)
