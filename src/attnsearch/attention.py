@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nncore import Parameter, Tensor, sigmoid, tensor
+from .nncore import (Dense, GlobalAvgPool, Parameter, ReLU, Sequential, Tensor,
+                     sigmoid, tensor)
 
 
 class _AttentionModule:
@@ -50,43 +51,33 @@ def _apply_single(x: Tensor, module: _AttentionModule) -> Tensor:
 # ---------------------------------------------------------------------------
 
 class SEModule(_AttentionModule):
-    """Batched channel-squeeze attention, C -> C//r -> C with biases."""
+    """Batched channel-squeeze attention, C -> C//r -> C with biases: nncore's
+    pool, dense and ReLU layers, then a sigmoid."""
 
     def __init__(self, channels: int, reduction: int, rng: np.random.Generator) -> None:
         hidden = channels // reduction
         if hidden < 1:
             raise ValueError(f"reduction {reduction} too large for {channels} channels")
         self.channels = channels
-        w1 = rng.standard_normal((hidden, channels)) * np.sqrt(2.0 / channels)
-        w2 = rng.standard_normal((channels, hidden)) * np.sqrt(2.0 / hidden)
-        self.w1, self.b1 = Parameter(w1), Parameter(np.zeros(hidden))
-        self.w2, self.b2 = Parameter(w2), Parameter(np.zeros(channels))
-        self._cache = []
+        self.net = Sequential(GlobalAvgPool(), Dense(channels, hidden, rng), ReLU(),
+                              Dense(hidden, channels, rng))
+        _, first, _, second = self.net.layers
+        self.w1, self.b1 = first.weight, first.bias
+        self.w2, self.b2 = second.weight, second.bias
+        self._masks = []
 
     def named_parameters(self) -> list[tuple[str, Parameter]]:
         return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
 
     def forward(self, feat, train: bool = False):
-        pooled = feat.mean(axis=(2, 3))
-        z1 = pooled @ self.w1.value.T + self.b1.value
-        hidden = np.maximum(z1, 0.0)
-        mask = sigmoid(hidden @ self.w2.value.T + self.b2.value)
+        mask = sigmoid(self.net.forward(feat, train))
         if train:
-            self._cache.append((feat.shape, pooled, z1, hidden, mask))
+            self._masks.append(mask)
         return mask[:, :, None, None]
 
     def backward(self, dmask):
-        shape, pooled, z1, hidden, mask = self._cache.pop()
-        dz2 = dmask.sum(axis=(2, 3)) * mask * (1.0 - mask)
-        self.w2.grad += dz2.T @ hidden
-        self.b2.grad += dz2.sum(axis=0)
-        dh = dz2 @ self.w2.value
-        dz1 = dh * (z1 > 0)
-        self.w1.grad += dz1.T @ pooled
-        self.b1.grad += dz1.sum(axis=0)
-        dpooled = dz1 @ self.w1.value
-        h, w = shape[2], shape[3]
-        return np.broadcast_to(dpooled[:, :, None, None], shape).copy() / (h * w)
+        mask = self._masks.pop()
+        return self.net.backward(dmask.sum(axis=(2, 3)) * mask * (1.0 - mask))
 
 
 def se_attention(x: Tensor, module: SEModule) -> Tensor:

@@ -308,6 +308,8 @@ def cmd_extend_demo(args) -> int:
 
 def cmd_report(args) -> int:
     digest, rows = read_csv(args.rows, required=("ratio", "accuracy"))
+    if not rows:
+        raise ValueError(f"{args.rows}: no rows to report")
     if args.config:
         cfg = ExperimentConfig.from_file(args.config)
         if cfg.digest() != digest:

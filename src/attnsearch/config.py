@@ -21,7 +21,7 @@ from .data import Dataset, load_csv, make_blob_dataset, make_digits_dataset, spl
 from .nncore import OptimizerConfig
 from .rewards import RewardConfig, RNDPair
 from .rngstreams import named_rng
-from .supernet import BackboneConfig, SupernetState
+from .supernet import BackboneConfig, SupernetState, _positive_ints
 from .search import SyntheticLandscape
 
 ENV_SEED = "ATTNSEARCH_SEED"
@@ -40,6 +40,11 @@ class DatasetSpec:
 
     def __post_init__(self) -> None:
         _check_at_least("dataset", self, 1, "classes", "per_class", "blobs_per_class")
+        _require("dataset", self, "shape", len(self.shape) == 3 and _positive_ints(self.shape),
+                 "be three positive integers (C, H, W)")
+        # a blob centre is drawn from [1, side - 1]
+        _require("dataset", self, "shape", self.kind != "blobs" or min(self.shape[1:]) >= 2,
+                 "have H, W >= 2 for blobs")
 
 
 @dataclass(frozen=True)
@@ -142,8 +147,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
+        def refuse(token):  # json.load takes these, but they are not JSON
+            raise ValueError(f"{path}: {token} is not a JSON value")
+
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict(json.load(fh, parse_constant=refuse))
 
     # -- identity -----------------------------------------------------------
 

@@ -31,20 +31,22 @@ class RolloutTuple:
 class ControllerState:
     """One-hidden-layer policy net over a constant zero input.
 
-    The input being identically zero, the first weight matrix receives no
-    gradient; the hidden bias plays the role of a learned input. The output
-    layer starts at zero so every initial probability is exactly 0.5.
+    The input being identically zero, there is no input weight: the hidden
+    bias is the learned input. The output layer starts at zero so every
+    initial probability is exactly 0.5.
     """
 
     def __init__(self, m: int, hidden: int = 64, lr: float = 5e-2,
                  momentum: float = 0.9, ppo_period: int = 10,
                  buffer_capacity: int | None = None, clip_ratios: bool = True,
-                 ratio_bounds: tuple[float, float] = (0.1, 10.0),
-                 rng: np.random.Generator | None = None) -> None:
-        rng = rng or np.random.default_rng()
+                 ratio_bounds: tuple[float, float] = (0.1, 10.0), *,
+                 rng: np.random.Generator) -> None:
+        lo, hi = ratio_bounds
+        if not lo < 1.0 < hi:
+            raise ValueError(f"ratio_bounds must bracket 1, got {ratio_bounds}")
         self.m = m
-        self.w1 = Parameter(rng.standard_normal((hidden, 1)))
-        self.b1 = Parameter(rng.standard_normal(hidden))
+        # discarding the first half keeps each seed's published schemes unchanged
+        self.b1 = Parameter(rng.standard_normal(2 * hidden)[hidden:])
         self.w2 = Parameter(np.zeros((m, hidden)))
         self.b2 = Parameter(np.zeros(m))
         self.opt = OptimizerConfig(lr, momentum)
@@ -56,10 +58,10 @@ class ControllerState:
         self.update_count = 0
 
     def parameters(self) -> list[Parameter]:
-        return [self.w1, self.b1, self.w2, self.b2]
+        return [self.b1, self.w2, self.b2]
 
     def _forward(self):
-        hidden = np.tanh(self.b1.value)  # w1 @ 0 vanishes
+        hidden = np.tanh(self.b1.value)
         z2 = self.w2.value @ hidden + self.b2.value
         raw = sigmoid(z2)
         return hidden, raw, np.clip(raw, PROB_FLOOR, 1.0 - PROB_FLOOR)
@@ -95,15 +97,11 @@ def mean_prob(p_hat) -> float:
 # updates
 # ---------------------------------------------------------------------------
 
-def _backprop_from_output(state: ControllerState, dz2: np.ndarray):
-    """Grads of a scalar objective wrt all params, given d(objective)/d(z2)."""
-    hidden, _, _ = state._forward()
-    dw2 = np.outer(dz2, hidden)
-    db2 = dz2
+def _backprop_from_output(state: ControllerState, hidden: np.ndarray, dz2: np.ndarray):
+    """Grads of a scalar objective wrt all params, given d(objective)/d(z2)
+    and the hidden activation of the forward that gave z2."""
     dh = state.w2.value.T @ dz2
-    db1 = dh * (1.0 - hidden ** 2)
-    dw1 = np.zeros_like(state.w1.value)  # input is the zero vector
-    return [dw1, db1, dw2, db2]
+    return [dh * (1.0 - hidden ** 2), np.outer(dz2, hidden), dz2]
 
 
 def reinforce_objective(state: ControllerState, scheme: ConnectionScheme,
@@ -115,15 +113,10 @@ def reinforce_objective(state: ControllerState, scheme: ConnectionScheme,
 
 def reinforce_gradient(state: ControllerState, scheme: ConnectionScheme,
                        reward: float):
-    """Ascent gradient of the score-weighted log probability.
-
-    d/dz2_i of log p_hat_i collapses to (a_i - p_i); bits pinned by the
-    probability clamp contribute zero.
-    """
-    _, raw, _ = state._forward()
-    inside = (raw > PROB_FLOOR) & (raw < 1.0 - PROB_FLOOR)
-    dz2 = np.where(inside, reward * (scheme.bits - raw), 0.0)
-    return _backprop_from_output(state, dz2)
+    """Ascent gradient of the score-weighted log probability: the replay
+    gradient of one rollout drawn at the current parameters, where every
+    importance ratio is exactly 1."""
+    return ppo_gradient(state, [RolloutTuple(state._forward()[2], scheme, reward)])
 
 
 def _ascend(state: ControllerState, grads) -> None:
@@ -157,7 +150,9 @@ def ppo_objective(state: ControllerState, tuples) -> float:
 
 
 def ppo_gradient(state: ControllerState, tuples):
-    _, raw, clipped = state._forward()
+    """Ascent gradient of `ppo_objective`: d(ratio_i)/dz2_i = ratio_i * (a_i - p_i);
+    bits pinned by the probability clamp or the ratio bounds contribute zero."""
+    hidden, raw, clipped = state._forward()
     inside = (raw > PROB_FLOOR) & (raw < 1.0 - PROB_FLOOR)
     dz2 = np.zeros(state.m)
     for t in tuples:
@@ -171,7 +166,7 @@ def ppo_gradient(state: ControllerState, tuples):
         contrib = t.reward * ratio * (t.scheme.bits - raw)
         dz2 += np.where(inside & active, contrib, 0.0)
     dz2 /= len(tuples)
-    return _backprop_from_output(state, dz2)
+    return _backprop_from_output(state, hidden, dz2)
 
 
 def ppo_update(state: ControllerState, tuples=None) -> None:

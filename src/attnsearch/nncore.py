@@ -202,26 +202,36 @@ def _conv_backward(dout, xp, kernel, stride, pad, in_shape):
     return dx, dk, db
 
 
-class Conv2d:
+class _Layer:
+    """Forward caches form a stack: forward(train=True) pushes, backward pops,
+    so one layer object may run several times before its backward passes."""
+
+    def __init__(self) -> None:
+        self._cache = []
+
+    def parameters(self):
+        return []
+
+
+class Conv2d(_Layer):
     """3x3-style convolution layer, He-initialized (std = sqrt(2/fan_in))."""
 
-    def __init__(self, c_in: int, c_out: int, k: int, stride: int = 1, pad: int = 0,
-                 rng: np.random.Generator | None = None) -> None:
-        rng = rng or np.random.default_rng()
+    def __init__(self, c_in: int, c_out: int, k: int, stride: int, pad: int,
+                 rng: np.random.Generator) -> None:
+        super().__init__()
         std = np.sqrt(2.0 / (c_in * k * k))
         self.kernel = Parameter(rng.standard_normal((c_out, c_in, k, k)) * std)
         self.bias = Parameter(np.zeros(c_out))
         self.stride, self.pad = stride, pad
-        self._cache = None
 
     def forward(self, x, train: bool = False):
         y, xp = _conv_forward(x, self.kernel.value, self.bias.value, self.stride, self.pad)
         if train:
-            self._cache = (xp, x.shape)
+            self._cache.append((xp, x.shape))
         return y
 
     def backward(self, dout):
-        xp, in_shape = self._cache
+        xp, in_shape = self._cache.pop()
         dx, dk, db = _conv_backward(dout, xp, self.kernel.value, self.stride,
                                     self.pad, in_shape)
         self.kernel.grad += dk
@@ -232,21 +242,20 @@ class Conv2d:
         return [self.kernel, self.bias]
 
 
-class Dense:
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator | None = None) -> None:
-        rng = rng or np.random.default_rng()
+class Dense(_Layer):
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator) -> None:
+        super().__init__()
         std = np.sqrt(2.0 / n_in)
         self.weight = Parameter(rng.standard_normal((n_out, n_in)) * std)
         self.bias = Parameter(np.zeros(n_out))
-        self._cache = None
 
     def forward(self, x, train: bool = False):
         if train:
-            self._cache = x
+            self._cache.append(x)
         return x @ self.weight.value.T + self.bias.value
 
     def backward(self, dout):
-        x = self._cache
+        x = self._cache.pop()
         self.weight.grad += dout.T @ x
         self.bias.grad += dout.sum(axis=0)
         return dout @ self.weight.value
@@ -255,57 +264,39 @@ class Dense:
         return [self.weight, self.bias]
 
 
-class ReLU:
+class ReLU(_Layer):
     # subgradient at 0 is taken as 0
-    def __init__(self) -> None:
-        self._mask = None
-
     def forward(self, x, train: bool = False):
         if train:
-            self._mask = x > 0
+            self._cache.append(x > 0)
         return np.maximum(x, 0.0)
 
     def backward(self, dout):
-        return dout * self._mask
-
-    def parameters(self):
-        return []
+        return dout * self._cache.pop()
 
 
-class Tanh:
-    def __init__(self) -> None:
-        self._out = None
-
+class Tanh(_Layer):
     def forward(self, x, train: bool = False):
         out = np.tanh(x)
         if train:
-            self._out = out
+            self._cache.append(out)
         return out
 
     def backward(self, dout):
-        return dout * (1.0 - self._out ** 2)
-
-    def parameters(self):
-        return []
+        return dout * (1.0 - self._cache.pop() ** 2)
 
 
-class GlobalAvgPool:
+class GlobalAvgPool(_Layer):
     """[N,C,H,W] -> [N,C] spatial mean."""
-
-    def __init__(self) -> None:
-        self._hw = None
 
     def forward(self, x, train: bool = False):
         if train:
-            self._hw = x.shape[2:]
+            self._cache.append(x.shape[2:])
         return x.mean(axis=(2, 3))
 
     def backward(self, dout):
-        h, w = self._hw
+        h, w = self._cache.pop()
         return np.broadcast_to(dout[:, :, None, None], dout.shape + (h, w)).copy() / (h * w)
-
-    def parameters(self):
-        return []
 
 
 class Sequential:

@@ -192,6 +192,13 @@ class TestEnumerateAndStudy:
         assert capsys.readouterr().err == f"error: {rows}: no {missing!r} column\n"
         assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
+    def test_report_refuses_a_file_without_rows(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        write_csv(rows, "d" * 64, ["scheme", "ones", "ratio", "accuracy"], [])
+        assert run("report", "--rows", rows) == 1
+        assert capsys.readouterr().err == f"error: {rows}: no rows to report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
     @pytest.mark.parametrize("last, message", [
         ("0011,2", "expected 6 fields, got 2"),
         ("0011,2,0.5,0.75,84,3.1,7", "expected 6 fields, got 7"),
@@ -348,6 +355,12 @@ class TestErrors:
         ("dataset", {"blobs_per_class": 0}, "'dataset.blobs_per_class' must be >= 1, got 0"),
         ("dataset", {"per_class": -1}, "'dataset.per_class' must be >= 1, got -1"),
         ("dataset", {"classes": -1}, "'dataset.classes' must be >= 1, got -1"),
+        ("dataset", {"shape": [1, 8.5, 8]},
+         "'dataset.shape' must be three positive integers (C, H, W), got (1, 8.5, 8)"),
+        ("dataset", {"shape": [1, 6.0, 6]},
+         "'dataset.shape' must be three positive integers (C, H, W), got (1, 6.0, 6)"),
+        ("dataset", {"shape": [1, 1, 1]},
+         "'dataset.shape' must have H, W >= 2 for blobs, got (1, 1, 1)"),
     ], ids=["string-steps", "zero-channels", "no-stages", "class-mismatch", "ratio-text",
             "bogus-dof", "zero-probes", "zero-ppo-period", "zero-buffer", "zero-batch",
             "negative-steps", "zero-samples-per-ratio", "negative-lr-drop",
@@ -355,7 +368,8 @@ class TestErrors:
             "groups-past-width", "zero-input-height", "zero-controller-lr",
             "negative-controller-lr", "controller-momentum-one",
             "negative-controller-momentum", "zero-hidden", "negative-hidden",
-            "no-ratios", "zero-blobs", "negative-per-class", "negative-classes"])
+            "no-ratios", "zero-blobs", "negative-per-class", "negative-classes",
+            "fractional-shape", "float-shape", "one-pixel-blobs"])
     def test_bad_config_exits_1_with_one_line(self, tmp_path, capsys, section, patch, message):
         cfg = dict(TINY, output_dir=str(tmp_path / "o"))
         cfg[section] = {k: v for k, v in {**TINY.get(section, {}), **patch}.items()
@@ -368,6 +382,16 @@ class TestErrors:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert message in err
             assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_constants_exit_1_with_one_line(self, tmp_path, capsys, token):
+        text = json.dumps(dict(TINY, output_dir=str(tmp_path / "o")))
+        assert text.count('"learning_rate": 0.02') == 1
+        path = tmp_path / "bad.json"
+        path.write_text(text.replace('"learning_rate": 0.02', f'"learning_rate": {token}'))
+        assert run("pretrain", "--config", path) == 1
+        assert capsys.readouterr().err == f"error: {path}: {token} is not a JSON value\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag", ["--dim", "--depth", "--width", "--probes"])
     def test_extend_demo_refuses_sizes_below_one(self, tiny_config, tmp_path, capsys, flag):

@@ -198,6 +198,12 @@ class TestPPO:
         grads = ppo_gradient(st, [tup])
         assert all(np.abs(g).max() == 0.0 for g in grads)
 
+    @pytest.mark.parametrize("bounds", [(1.0, 2.0), (0.5, 1.0), (2.0, 0.5)])
+    def test_ratio_bounds_must_bracket_one(self, bounds):
+        # the current-parameter rollout's ratio of 1 must never be clipped
+        with pytest.raises(ValueError, match="must bracket 1"):
+            fresh_state(clip_ratios=True, ratio_bounds=bounds)
+
     def test_empty_buffer_warns_and_keeps_params(self):
         st = randomized_state(seed=19)
         before = [p.value.copy() for p in st.parameters()]

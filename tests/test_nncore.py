@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from attnsearch.nncore import (Conv2d, Dense, GlobalAvgPool, OptimizerConfig,
-                               Parameter, ReLU, Sequential, conv2d, dense,
+                               Parameter, ReLU, Sequential, Tanh, conv2d, dense,
                                global_avg_pool, grad_check, sgd_momentum_step,
                                softmax_cross_entropy,
                                softmax_cross_entropy_batch, tensor)
@@ -124,6 +124,49 @@ class TestGlobalAvgPool:
         shuffled = flat[:, perm].reshape(2, 3, 5)
         np.testing.assert_allclose(global_avg_pool(x), global_avg_pool(shuffled),
                                    atol=1e-12)
+
+
+# (layer factory, two input shapes); the shapes differ, so a layer that
+# backpropagated through the wrong cache would be caught
+REUSED_LAYERS = {
+    "conv": (lambda rng: Conv2d(3, 2, 3, 1, 1, rng), [(2, 3, 5, 5), (1, 3, 4, 6)]),
+    "dense": (lambda rng: Dense(4, 3, rng), [(2, 4), (3, 4)]),
+    "relu": (lambda rng: ReLU(), [(2, 3, 5, 5), (1, 3, 4, 6)]),
+    "tanh": (lambda rng: Tanh(), [(2, 3, 5, 5), (1, 3, 4, 6)]),
+    "pool": (lambda rng: GlobalAvgPool(), [(2, 3, 5, 5), (1, 3, 4, 6)]),
+}
+
+
+class TestLayerReuse:
+    """One layer object run twice before its backward passes, as a shared
+    attention module's layers are: backward pops the caches in reverse."""
+
+    @staticmethod
+    def one_use(layer, x, dout):
+        for p in layer.parameters():
+            p.zero_grad()
+        layer.forward(x, train=True)
+        dx = layer.backward(dout)
+        return dx, [p.grad.copy() for p in layer.parameters()]
+
+    @pytest.mark.parametrize("name", sorted(REUSED_LAYERS))
+    def test_two_forwards_then_two_backwards(self, name):
+        make, shapes = REUSED_LAYERS[name]
+        rng = np.random.default_rng(30)
+        layer = make(rng)
+        xs = [rng.standard_normal(shape) for shape in shapes]
+        douts = [rng.standard_normal(layer.forward(x).shape) for x in xs]
+        single = [self.one_use(layer, x, d) for x, d in zip(xs, douts)]
+        for p in layer.parameters():
+            p.zero_grad()
+        for x in xs:
+            layer.forward(x, train=True)
+        dx_second = layer.backward(douts[1])
+        dx_first = layer.backward(douts[0])
+        np.testing.assert_array_equal(dx_first, single[0][0])
+        np.testing.assert_array_equal(dx_second, single[1][0])
+        for p, g_first, g_second in zip(layer.parameters(), single[0][1], single[1][1]):
+            np.testing.assert_array_equal(p.grad, g_first + g_second)
 
 
 class TestSoftmaxCrossEntropy:
