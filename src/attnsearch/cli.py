@@ -158,10 +158,12 @@ def cmd_pretrain(args) -> int:
 def cmd_search(args) -> int:
     cfg, outdir, digest = _prepare(args)
     evaluator = _supernet_evaluator(cfg, args.checkpoint)
+    if not evaluator.pretrained:  # its scores would be close to chance
+        raise _UsageError(f"{args.checkpoint}: the backbone was never pre-trained "
+                          "(supernet.steps 0); search needs a pre-trained proxy")
     controller = cfg.build_controller()
     rnd_pair = cfg.build_rnd_pair()
-    budget = SearchBudget(cfg.search.iterations, cfg.search.evaluations,
-                          cfg.search.wallclock_seconds)
+    budget = SearchBudget(cfg.search.iterations, cfg.search.wallclock_seconds)
     t0 = time.perf_counter()
     result = ean_search(evaluator, controller, cfg.rewards, budget,
                         cfg.rng("controller-sample"), rnd_pair)
@@ -228,8 +230,8 @@ def cmd_baseline(args) -> int:
         # the winner's score is read back from the scores the GA computed
         evaluator = functools.cache(_evaluator(cfg, args))
         generations = args.generations
-        if generations is None:
-            generations = max(1, cfg.search.iterations // args.population)
+        if generations is None:  # ga_search refuses a population below 4
+            generations = max(1, cfg.search.iterations // max(args.population, 1))
         scheme, fit = ga_search(evaluator, m, args.population, generations,
                                 cfg.rng("ga"), cfg.rewards)
         payload.update(population=args.population, generations=generations,

@@ -40,6 +40,7 @@ class DatasetSpec:
 
     def __post_init__(self) -> None:
         _check_at_least("dataset", self, 1, "classes", "per_class", "blobs_per_class")
+        _check_at_least("dataset", self, 0, "noise")
         _require("dataset", self, "shape", len(self.shape) == 3 and _positive_ints(self.shape),
                  "be three positive integers (C, H, W)")
         # a blob centre is drawn from [1, side - 1]
@@ -61,6 +62,9 @@ class SupernetSpec:
     def __post_init__(self) -> None:
         _check_at_least("supernet", self, 0, "steps")
         _check_at_least("supernet", self, 1, "batch_size")
+        _require("supernet", self, "beta", 0 <= self.beta <= 1, "lie in [0, 1]")
+        _require("supernet", self, "lr_drop_step",
+                 self.lr_drop_step is None or self.lr_drop_step >= 0, "be >= 0 or null")
         _require("supernet", self, "lr_drop_factor", self.lr_drop_factor > 0, "be > 0")
 
 
@@ -71,7 +75,6 @@ class ControllerSpec:
     momentum: float = 0.9
     ppo_period: int = 10
     buffer_capacity: int = 100
-    clip_ratios: bool = True
 
     def __post_init__(self) -> None:
         _check_at_least("controller", self, 1, "hidden", "ppo_period", "buffer_capacity")
@@ -82,7 +85,6 @@ class ControllerSpec:
 @dataclass(frozen=True)
 class SearchSpec:
     iterations: int = 300
-    evaluations: int | None = None
     wallclock_seconds: float | None = None
 
 
@@ -204,7 +206,6 @@ class ExperimentConfig:
                                lr=c.learning_rate, momentum=c.momentum,
                                ppo_period=c.ppo_period,
                                buffer_capacity=c.buffer_capacity,
-                               clip_ratios=c.clip_ratios,
                                rng=self.rng("controller-init"))
 
     def build_rnd_pair(self) -> RNDPair | None:

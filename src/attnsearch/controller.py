@@ -38,7 +38,7 @@ class ControllerState:
 
     def __init__(self, m: int, hidden: int = 64, lr: float = 5e-2,
                  momentum: float = 0.9, ppo_period: int = 10,
-                 buffer_capacity: int | None = None, clip_ratios: bool = True,
+                 buffer_capacity: int | None = None,
                  ratio_bounds: tuple[float, float] = (0.1, 10.0), *,
                  rng: np.random.Generator) -> None:
         lo, hi = ratio_bounds
@@ -51,7 +51,6 @@ class ControllerState:
         self.b2 = Parameter(np.zeros(m))
         self.opt = OptimizerConfig(lr, momentum)
         self.ppo_period = ppo_period
-        self.clip_ratios = clip_ratios
         self.ratio_bounds = ratio_bounds
         self.buffer: deque[RolloutTuple] = deque(
             maxlen=10 * ppo_period if buffer_capacity is None else buffer_capacity)
@@ -127,24 +126,20 @@ def _ascend(state: ControllerState, grads) -> None:
 
 
 def reinforce_update(state: ControllerState, scheme: ConnectionScheme,
-                     p_hat: np.ndarray, reward: float) -> None:
+                     reward: float) -> None:
     """Single-sample policy-gradient ascent step (no baseline subtraction)."""
-    if p_hat is not None and len(p_hat) != state.m:
-        raise ValueError("p_hat length does not match controller output")
     _ascend(state, reinforce_gradient(state, scheme, reward))
     state.update_count += 1
 
 
 def ppo_objective(state: ControllerState, tuples) -> float:
-    """Mean over tuples of reward * sum_i ratio_i, the replay surrogate whose
-    gradient is the importance-weighted update direction."""
+    """Mean over tuples of reward * sum_i clip(ratio_i, *ratio_bounds), the replay
+    surrogate whose gradient is the importance-weighted update direction."""
     p = controller_forward(state)
     total = 0.0
     for t in tuples:
         p_old = realized_probabilities(np.clip(t.probs, PROB_FLOOR, 1 - PROB_FLOOR), t.scheme)
-        ratio = realized_probabilities(p, t.scheme) / p_old
-        if state.clip_ratios:
-            ratio = np.clip(ratio, *state.ratio_bounds)
+        ratio = np.clip(realized_probabilities(p, t.scheme) / p_old, *state.ratio_bounds)
         total += t.reward * float(ratio.sum())
     return total / len(tuples)
 
@@ -154,15 +149,15 @@ def ppo_gradient(state: ControllerState, tuples):
     bits pinned by the probability clamp or the ratio bounds contribute zero."""
     hidden, raw, clipped = state._forward()
     inside = (raw > PROB_FLOOR) & (raw < 1.0 - PROB_FLOOR)
+    lo, hi = state.ratio_bounds
     dz2 = np.zeros(state.m)
     for t in tuples:
+        if len(t.scheme) != state.m:
+            raise ValueError(f"a {len(t.scheme)}-block scheme does not fit a "
+                             f"{state.m}-block controller")
         p_old = realized_probabilities(np.clip(t.probs, PROB_FLOOR, 1 - PROB_FLOOR), t.scheme)
         ratio = realized_probabilities(clipped, t.scheme) / p_old
-        if state.clip_ratios:
-            lo, hi = state.ratio_bounds
-            active = (ratio > lo) & (ratio < hi)
-        else:
-            active = np.ones(state.m, dtype=bool)
+        active = (ratio > lo) & (ratio < hi)
         contrib = t.reward * ratio * (t.scheme.bits - raw)
         dz2 += np.where(inside & active, contrib, 0.0)
     dz2 /= len(tuples)

@@ -21,7 +21,6 @@ class RewardConfig:
     lambda_spa: float = 0.5
     lambda_val: float = 1.0
     lambda_rnd: float = 0.1
-    normalize_rnd: bool = False
 
     def __post_init__(self) -> None:
         if min(self.lambda_spa, self.lambda_val, self.lambda_rnd) < 0:
@@ -66,9 +65,6 @@ class RNDPair:
         self.target.layers[2].weight.value *= init_scale
         self.predictor.layers[2].weight.value *= init_scale
         self.opt = OptimizerConfig(lr, 0.0, 0.0)
-        self._bonus_count = 0
-        self._bonus_mean = 0.0
-        self._bonus_m2 = 0.0
 
     def parameters(self):
         """Trainable parameters (predictor only; the target stays frozen)."""
@@ -78,25 +74,11 @@ class RNDPair:
         x = scheme.bits.astype(np.float64)[None]
         return self.target.forward(x), self.predictor.forward(x, train=train)
 
-    def _record(self, bonus: float) -> None:
-        self._bonus_count += 1
-        delta = bonus - self._bonus_mean
-        self._bonus_mean += delta / self._bonus_count
-        self._bonus_m2 += delta * (bonus - self._bonus_mean)
 
-    def running_std(self) -> float:
-        if self._bonus_count < 2:
-            return 1.0
-        return float(np.sqrt(self._bonus_m2 / (self._bonus_count - 1))) or 1.0
-
-
-def rnd_bonus(pair: RNDPair, scheme: ConnectionScheme, record: bool = False) -> float:
+def rnd_bonus(pair: RNDPair, scheme: ConnectionScheme) -> float:
     """Squared L2 gap between target and predictor outputs (>= 0)."""
     t, p = pair._outputs(scheme)
-    bonus = float(((t - p) ** 2).sum())
-    if record:
-        pair._record(bonus)
-    return bonus
+    return float(((t - p) ** 2).sum())
 
 
 def rnd_train_step(pair: RNDPair, scheme: ConnectionScheme) -> float:
@@ -121,11 +103,6 @@ def reward_bundle(config: RewardConfig, scheme: ConnectionScheme, g_val: float,
                   pair: RNDPair | None = None) -> RewardBundle:
     """Assemble all components for one sampled scheme."""
     g_spa = sparsity_reward(scheme)
-    if pair is not None and config.lambda_rnd > 0:
-        g_rnd = rnd_bonus(pair, scheme, record=True)
-        if config.normalize_rnd:
-            g_rnd /= pair.running_std()
-    else:
-        g_rnd = 0.0
+    g_rnd = rnd_bonus(pair, scheme) if pair is not None and config.lambda_rnd > 0 else 0.0
     return RewardBundle(g_spa, g_val, g_rnd,
                         combined_reward(config, g_spa, g_val, g_rnd))

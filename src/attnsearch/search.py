@@ -96,23 +96,18 @@ class PeakedLandscape:
 @dataclass(frozen=True)
 class SearchBudget:
     iterations: int | None = None
-    evaluations: int | None = None
     wallclock_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        if self.iterations is None and self.evaluations is None \
-                and self.wallclock_seconds is None:
+        if self.iterations is None and self.wallclock_seconds is None:
             raise ValueError("at least one budget cap must be finite")
 
     def exhausted(self, iteration: int, started: float) -> bool:
-        """Both caps count scores delivered, one per iteration, not evaluator calls."""
-        for cap in (self.iterations, self.evaluations):
-            if cap is not None and iteration >= cap:
-                return True
-        if self.wallclock_seconds is not None \
-                and time.perf_counter() - started >= self.wallclock_seconds:
+        """`iterations` counts scores delivered, one per iteration, not evaluator calls."""
+        if self.iterations is not None and iteration >= self.iterations:
             return True
-        return False
+        return self.wallclock_seconds is not None \
+            and time.perf_counter() - started >= self.wallclock_seconds
 
 
 @dataclass
@@ -197,7 +192,7 @@ def ean_search(evaluator, controller: ControllerState, rewards: RewardConfig,
         scheme, p_hat, _ = sample_and_score(probs, rng)
         g_val = score(scheme)
         bundle = reward_bundle(rewards, scheme, g_val, rnd_pair)
-        reinforce_update(controller, scheme, p_hat, bundle.combined)
+        reinforce_update(controller, scheme, bundle.combined)
         controller.buffer.append(RolloutTuple(probs.copy(), scheme, bundle.combined))
         if controller.update_count % controller.ppo_period == 0:
             ppo_update(controller)

@@ -6,6 +6,7 @@ heavyweight criteria state their own budgets.
 """
 
 import json
+import math
 import time
 
 import numpy as np
@@ -90,7 +91,7 @@ def test_criterion_02_search_quality_vs_exhaustive():
     rank_of = {s: i for i, (s, _) in enumerate(ranked)}
     ean_hits = ga_hits = 0
     for seed in range(10):
-        controller = ControllerState(8, momentum=0.0, clip_ratios=False,
+        controller = ControllerState(8, momentum=0.0, ratio_bounds=(0.0, math.inf),
                                      rng=np.random.default_rng(100 + seed))
         res = ean_search(land, controller, RewardConfig(0.0, 1.0, 0.0),
                          SearchBudget(iterations=300),
@@ -122,7 +123,7 @@ def test_criterion_04_policy_gradient_correctness():
     worst_fd = 0.0
     worst_eq = 0.0
     for seed in range(3):
-        st = ControllerState(6, hidden=16, clip_ratios=False,
+        st = ControllerState(6, hidden=16, ratio_bounds=(0.0, math.inf),
                              rng=np.random.default_rng(seed))
         mix = np.random.default_rng(900 + seed)
         st.w2.value[:] = mix.standard_normal(st.w2.value.shape) * 0.4

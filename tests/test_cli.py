@@ -1,9 +1,15 @@
 """End-to-end command surface: files, digests, exit codes, reproducibility."""
 
+import contextlib
+import dataclasses
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attnsearch.cli import main, read_csv, write_csv
 from attnsearch.config import ExperimentConfig
@@ -94,6 +100,20 @@ class TestPretrainAndSearch:
         err = capsys.readouterr().err
         assert err.startswith("error: search budget") and err.count("\n") == 1
         assert not (tmp_path / "zero").exists()
+
+    def test_search_refuses_an_unpretrained_checkpoint(self, tmp_path, capsys):
+        cfg = dict(TINY, output_dir=str(tmp_path / "o"))
+        cfg["supernet"] = dict(TINY["supernet"], steps=0)
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(cfg))
+        ckpt = tmp_path / "p" / "supernet.ckpt"
+        assert run("pretrain", "--config", path, "--output-dir", tmp_path / "p") == 0
+        capsys.readouterr()
+        assert run("search", "--config", path, "--checkpoint", ckpt) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: the backbone was never pre-trained (supernet.steps 0); "
+            "search needs a pre-trained proxy\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("damage", ["truncate", "trailing"])
     def test_search_refuses_damaged_checkpoint(self, tiny_config, tmp_path, capsys, damage):
@@ -361,6 +381,13 @@ class TestErrors:
          "'dataset.shape' must be three positive integers (C, H, W), got (1, 6.0, 6)"),
         ("dataset", {"shape": [1, 1, 1]},
          "'dataset.shape' must have H, W >= 2 for blobs, got (1, 1, 1)"),
+        ("dataset", {"noise": -1.0}, "'dataset.noise' must be >= 0, got -1.0"),
+        ("supernet", {"lr_drop_step": -1}, "'supernet.lr_drop_step' must be >= 0 or null, got -1"),
+        ("supernet", {"beta": 1.5, "steps": 0}, "'supernet.beta' must lie in [0, 1], got 1.5"),
+        ("supernet", {"beta": -0.5, "steps": 0}, "'supernet.beta' must lie in [0, 1], got -0.5"),
+        ("search", {"evaluations": 5}, "unknown config keys: ['search.evaluations']"),
+        ("rewards", {"normalize_rnd": False}, "unknown config keys: ['rewards.normalize_rnd']"),
+        ("controller", {"clip_ratios": True}, "unknown config keys: ['controller.clip_ratios']"),
     ], ids=["string-steps", "zero-channels", "no-stages", "class-mismatch", "ratio-text",
             "bogus-dof", "zero-probes", "zero-ppo-period", "zero-buffer", "zero-batch",
             "negative-steps", "zero-samples-per-ratio", "negative-lr-drop",
@@ -369,7 +396,9 @@ class TestErrors:
             "negative-controller-lr", "controller-momentum-one",
             "negative-controller-momentum", "zero-hidden", "negative-hidden",
             "no-ratios", "zero-blobs", "negative-per-class", "negative-classes",
-            "fractional-shape", "float-shape", "one-pixel-blobs"])
+            "fractional-shape", "float-shape", "one-pixel-blobs", "negative-noise",
+            "negative-lr-drop-step", "beta-above-one", "negative-beta", "removed-evaluations",
+            "removed-normalize-rnd", "removed-clip-ratios"])
     def test_bad_config_exits_1_with_one_line(self, tmp_path, capsys, section, patch, message):
         cfg = dict(TINY, output_dir=str(tmp_path / "o"))
         cfg[section] = {k: v for k, v in {**TINY.get(section, {}), **patch}.items()
@@ -434,3 +463,84 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == f"error: {data}:3: {message}\n"
         assert not (tmp_path / "o").exists()
+
+
+def _config_fields():
+    """(section, field) of every config key, None for top-level keys."""
+    defaults = ExperimentConfig()
+    for f in dataclasses.fields(defaults):
+        value = getattr(defaults, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from ((f.name, g.name) for g in dataclasses.fields(value))
+        elif f.name != "output_dir":  # the test owns where outputs go
+            yield None, f.name
+
+
+# zero, negative, fractional, wrong JSON type, empty list: no large sizes
+CONFIG_EDGES = [0, -1, 0.5, -0.5, "x", [], [0], None, True]
+FLAG_EDGES = ["0", "-1", "0.5", "x", ""]
+FLAGS = {("baseline", "hsp"): ["--period", "--offset"],
+         ("baseline", "ga"): ["--population", "--generations"],
+         ("baseline", "l1"): ["--keep-ratio"],
+         ("extend-demo",): ["--dim", "--depth", "--width", "--extra", "--wide-width",
+                            "--probes"]}
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny")
+    path = out / "exp.json"
+    path.write_text(json.dumps(dict(TINY, output_dir=str(out))))
+    assert run("pretrain", "--config", path) == 0
+    return out / "supernet.ckpt"
+
+
+class TestEdgeValues:
+    """One config field or flag at an edge value: exit 0, or exit 1 with one
+    stderr line and nothing written; never a traceback or a warning."""
+
+    @staticmethod
+    def run_all(commands, out):
+        for i, argv in enumerate(commands):
+            outdir, err = out / str(i), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                rc = run(*argv, "--output-dir", outdir)
+            assert not caught, (argv, [str(w.message) for w in caught])
+            err = err.getvalue()
+            if rc == 0:
+                assert err == "", (argv, err)
+            else:  # exit 1 with one line, and nothing written
+                assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, \
+                    (argv, rc, err)
+                assert not outdir.exists(), argv
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.just("config"), st.sampled_from(list(_config_fields())),
+                  st.sampled_from(CONFIG_EDGES)),
+        st.tuples(st.just("flag"), st.sampled_from([(c, f) for c, fl in FLAGS.items()
+                                                    for f in fl]),
+                  st.sampled_from(FLAG_EDGES))))
+    def test_edge_value_exits_0_or_1_with_one_line(self, tiny_checkpoint, tmp_path_factory,
+                                                   draw):
+        kind, (where, name), value = draw
+        out = tmp_path_factory.mktemp("edge")
+        cfg = dict(TINY)
+        if kind == "config" and where is None:
+            cfg[name] = value
+        elif kind == "config":
+            cfg[where] = {**TINY.get(where, {}), name: value}
+        path = out / "exp.json"
+        path.write_text(json.dumps(cfg))
+        c = ["--config", path]
+        if kind == "flag":
+            ckpt = ["--checkpoint", tiny_checkpoint] if where == ("baseline", "l1") else []
+            self.run_all([[*where, *c, *ckpt, name, value]], out)
+            return
+        ckpt = out / "0" / "supernet.ckpt"  # written by the first command
+        self.run_all([["pretrain", *c], ["search", *c, "--checkpoint", ckpt],
+                      ["enumerate", *c], ["study", *c], ["baseline", "hsp", *c],
+                      ["baseline", "ga", *c], ["baseline", "l1", *c, "--checkpoint", ckpt],
+                      ["verify-thm1", *c], ["extend-demo", *c]], out)

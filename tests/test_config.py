@@ -37,6 +37,12 @@ def test_non_object_config_refused(raw):
         ExperimentConfig.from_dict({"theory": raw})
 
 
+def test_default_digest_is_pinned():
+    # every output header carries this; a change here is a declared output change
+    assert ExperimentConfig().digest() == \
+        "a55839f332efe17b88d4ac7d579bc5f1d0213d90388a14e5d324022f4c6074bd"
+
+
 def test_digest_stable_and_sensitive(tmp_path):
     a = ExperimentConfig.from_dict({"seed": 1})
     b = ExperimentConfig.from_dict({"seed": 1})

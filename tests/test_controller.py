@@ -1,5 +1,6 @@
 """Controller behavior: sampling distribution, ascent directions, replay math."""
 
+import math
 import warnings
 
 import numpy as np
@@ -67,7 +68,7 @@ class TestForward:
         st = fresh_state()
         scheme = ConnectionScheme([1, 0, 1, 1, 0, 0])
         p_before = controller_forward(st)
-        reinforce_update(st, scheme, realized_probabilities(p_before, scheme), 1.0)
+        reinforce_update(st, scheme, 1.0)
         p_after = controller_forward(st)
         moved = np.where(scheme.bits == 1, p_after > p_before, p_after < p_before)
         assert moved.all()
@@ -117,7 +118,7 @@ class TestReinforce:
         before = [p.value.copy() for p in st.parameters()]
         scheme, p_hat, _ = sample_and_score(controller_forward(st),
                                             np.random.default_rng(6))
-        reinforce_update(st, scheme, p_hat, 0.0)
+        reinforce_update(st, scheme, 0.0)
         for p, b in zip(st.parameters(), before):
             np.testing.assert_array_equal(p.value, b)
 
@@ -126,16 +127,26 @@ class TestReinforce:
         rng = np.random.default_rng(8)
         scheme, p_hat, _ = sample_and_score(controller_forward(st), rng)
         before = reinforce_objective(st, scheme, 1.0)
-        reinforce_update(st, scheme, p_hat, 1.0)
+        reinforce_update(st, scheme, 1.0)
         assert reinforce_objective(st, scheme, 1.0) > before
 
     def test_small_step_raises_resample_probability(self):
         st = randomized_state(seed=9, lr=1e-2)
         rng = np.random.default_rng(10)
         scheme, p_hat, log_prob = sample_and_score(controller_forward(st), rng)
-        reinforce_update(st, scheme, p_hat, 0.7)
+        reinforce_update(st, scheme, 0.7)
         p_new = realized_probabilities(controller_forward(st), scheme)
         assert float(np.log(p_new).sum()) > log_prob
+
+    @pytest.mark.parametrize("bits", [[1], [1, 0, 1], [1, 0, 1, 1, 0, 0, 1]])
+    def test_scheme_of_another_length_is_refused(self, bits):
+        st = randomized_state(seed=21)
+        before = [p.value.copy() for p in st.parameters()]
+        with pytest.raises(ValueError, match=f"^a {len(bits)}-block scheme does not fit "
+                                             "a 6-block controller$"):
+            reinforce_update(st, ConnectionScheme(bits), 1.0)
+        for p, b in zip(st.parameters(), before):
+            np.testing.assert_array_equal(p.value, b)
 
     def test_gradient_matches_finite_differences(self):
         st = randomized_state(seed=11)
@@ -157,7 +168,7 @@ class TestPPO:
         return tuples
 
     def test_ratio_one_equals_averaged_reinforce(self):
-        st = randomized_state(seed=13, clip_ratios=False)
+        st = randomized_state(seed=13, ratio_bounds=(0.0, math.inf))
         tuples = self.make_buffer(st, 6, 14)
         ppo = ppo_gradient(st, tuples)
         mean = [np.zeros_like(p.value) for p in st.parameters()]
@@ -168,7 +179,7 @@ class TestPPO:
             np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_single_tuple_at_old_params_is_reinforce(self):
-        st = randomized_state(seed=15, clip_ratios=False)
+        st = randomized_state(seed=15, ratio_bounds=(0.0, math.inf))
         tuples = self.make_buffer(st, 1, 16)
         ppo = ppo_gradient(st, tuples)
         rf = reinforce_gradient(st, tuples[0].scheme, tuples[0].reward)
@@ -177,14 +188,14 @@ class TestPPO:
 
     def test_ratio_weighting_definition(self):
         # stored p_hat 0.3, current p 0.6, connected bit -> surrogate weight 2.0
-        st = fresh_state(m=1, clip_ratios=False)
+        st = fresh_state(m=1, ratio_bounds=(0.0, math.inf))
         st.b2.value[:] = np.log(0.6 / 0.4)  # sigmoid^-1(0.6)
         scheme = ConnectionScheme([1])
         tup = RolloutTuple(np.array([0.3]), scheme, 1.0)
         assert abs(ppo_objective(st, [tup]) - 2.0) < 1e-12
 
     def test_gradient_matches_finite_differences_off_policy(self):
-        st = randomized_state(seed=17, clip_ratios=False)
+        st = randomized_state(seed=17, ratio_bounds=(0.0, math.inf))
         tuples = self.make_buffer(st, 5, 18)
         st.b2.value += 0.2  # move away from the rollout parameters
         analytic = ppo_gradient(st, tuples)
@@ -192,7 +203,7 @@ class TestPPO:
         assert max_rel_err(analytic, numeric) < 1e-5
 
     def test_clipped_ratios_zero_their_gradient(self):
-        st = fresh_state(m=1, clip_ratios=True, ratio_bounds=(0.5, 2.0))
+        st = fresh_state(m=1, ratio_bounds=(0.5, 2.0))
         st.b2.value[:] = 3.0  # p ~ 0.95, stored 0.05 -> ratio ~ 19, clipped
         tup = RolloutTuple(np.array([0.05]), ConnectionScheme([1]), 1.0)
         grads = ppo_gradient(st, [tup])
@@ -202,7 +213,7 @@ class TestPPO:
     def test_ratio_bounds_must_bracket_one(self, bounds):
         # the current-parameter rollout's ratio of 1 must never be clipped
         with pytest.raises(ValueError, match="must bracket 1"):
-            fresh_state(clip_ratios=True, ratio_bounds=bounds)
+            fresh_state(ratio_bounds=bounds)
 
     def test_empty_buffer_warns_and_keeps_params(self):
         st = randomized_state(seed=19)

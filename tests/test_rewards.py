@@ -160,39 +160,3 @@ class TestRewardBundle:
         cfg = RewardConfig(0.0, 1.0, 0.0)
         bundle = reward_bundle(cfg, ConnectionScheme([1, 1, 0, 0]), 0.66, None)
         assert bundle.combined == bundle.g_val == 0.66
-
-
-class TestNormalizedBonus:
-    @staticmethod
-    def schemes(n, seed=60):
-        rng = np.random.default_rng(seed)
-        return [ConnectionScheme((rng.random(6) < 0.5).astype(np.int64)) for _ in range(n)]
-
-    def test_running_std_is_sample_std_of_recorded_bonuses(self):
-        pair = RNDPair(6, np.random.default_rng(61))
-        assert pair.running_std() == 1.0
-        bonuses = []
-        for i, scheme in enumerate(self.schemes(12)):
-            bonuses.append(rnd_bonus(pair, scheme, record=True))
-            if i == 0:  # below two records there is no spread to divide by
-                assert pair.running_std() == 1.0
-            else:
-                assert pair.running_std() == pytest.approx(np.std(bonuses, ddof=1),
-                                                           rel=1e-12)
-
-    def test_unrecorded_bonus_leaves_std_alone(self):
-        pair = RNDPair(6, np.random.default_rng(62))
-        for scheme in self.schemes(5):
-            rnd_bonus(pair, scheme)
-        assert pair.running_std() == 1.0
-
-    def test_bundle_divides_bonus_by_running_std(self):
-        cfg = RewardConfig(0.5, 1.0, 0.1, normalize_rnd=True)
-        pair = RNDPair(6, np.random.default_rng(63))
-        reference = RNDPair(6, np.random.default_rng(63))
-        for scheme in self.schemes(8, seed=64):
-            raw = rnd_bonus(reference, scheme, record=True)
-            bundle = reward_bundle(cfg, scheme, 0.7, pair)
-            assert bundle.g_rnd == raw / reference.running_std()
-            assert bundle.combined == combined_reward(cfg, bundle.g_spa, 0.7, bundle.g_rnd)
-        assert pair.running_std() != 1.0

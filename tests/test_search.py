@@ -1,5 +1,7 @@
 """Searcher behavior against exact oracles and constructed evaluators."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from attnsearch.supernet import (BackboneConfig, ConnectionScheme, SupernetState
 
 
 def make_controller(m, seed, **kw):
-    kw.setdefault("clip_ratios", False)
+    kw.setdefault("ratio_bounds", (0.0, math.inf))
     return ControllerState(m, rng=np.random.default_rng(seed), **kw)
 
 
@@ -302,7 +304,7 @@ class TestEANSearch:
         counted = CountingEvaluator(lambda s: 0.5)
         controller = make_controller(4, 76)
         result = ean_search(counted, controller, RewardConfig(0.0, 1.0, 0.0),
-                            SearchBudget(evaluations=17), np.random.default_rng(77))
+                            SearchBudget(iterations=17), np.random.default_rng(77))
         assert len(result.trace) == 17
         assert len(counted.calls) == len({r.scheme for r in result.trace})
 
