@@ -8,8 +8,7 @@ import numpy as np
 
 from attnsearch.controller import ControllerState
 from attnsearch.rewards import RewardConfig, RNDPair
-from attnsearch.search import (SearchBudget, SyntheticLandscape, ean_search,
-                               exhaustive_search)
+from attnsearch.search import SyntheticLandscape, ean_search, exhaustive_search
 
 M = 8
 land = SyntheticLandscape(M, seed=1)
@@ -21,7 +20,7 @@ print(f"landscape over {len(ranked)} schemes: best {ranked[0][0].to_string()} "
 controller = ControllerState(M, momentum=0.0, rng=np.random.default_rng(2))
 pair = RNDPair(M, np.random.default_rng(3), init_scale=0.5)
 result = ean_search(land, controller, RewardConfig(0.2, 1.0, 0.05),
-                    SearchBudget(iterations=300), np.random.default_rng(4), pair)
+                    300, np.random.default_rng(4), pair)
 
 print("\niter  scheme    sparse  g_val   reward  p_bar")
 for row in result.trace[::30]:

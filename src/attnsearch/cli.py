@@ -22,9 +22,8 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, open_atomic, save_checkpoint
 from .config import ExperimentConfig
-from .search import (SearchBudget, SupernetEvaluator, ean_search,
-                     exhaustive_search, ga_search, hsp_scheme,
-                     l1_prune_baseline, random_ratio_study)
+from .search import (SupernetEvaluator, ean_search, exhaustive_search, ga_search,
+                     hsp_scheme, l1_prune_baseline, random_ratio_study)
 from .stats import aggregate_violin
 from .supernet import (BackboneConfig, ConnectionScheme, count_params,
                        flop_increment_pct, pretrain_supernet)
@@ -163,12 +162,9 @@ def cmd_search(args) -> int:
                           "(supernet.steps 0); search needs a pre-trained proxy")
     controller = cfg.build_controller()
     rnd_pair = cfg.build_rnd_pair()
-    budget = SearchBudget(cfg.search.iterations, cfg.search.wallclock_seconds)
     t0 = time.perf_counter()
-    result = ean_search(evaluator, controller, cfg.rewards, budget,
+    result = ean_search(evaluator, controller, cfg.rewards, cfg.search.iterations,
                         cfg.rng("controller-sample"), rnd_pair)
-    if not result.best:
-        raise _UsageError("search budget ended before the first iteration; nothing written")
     write_csv(os.path.join(outdir, "trace.csv"), digest,
               ["iteration", "scheme", "sparse", "g_val", "g_rnd", "reward", "p_bar"],
               [(r.iteration, r.scheme, r.sparse, r.g_val, r.g_rnd, r.reward, r.p_bar)
@@ -252,11 +248,9 @@ def cmd_baseline(args) -> int:
 def cmd_verify_thm1(args) -> int:
     cfg, outdir, digest = _prepare(args)
     th = cfg.theory
-    conventions = ["literal", "corrected"] if th.dof_convention == "both" \
-        else [th.dof_convention]
     rng = cfg.rng("theory-mc")
     results = [thm1_monte_carlo(th.d, th.epsilon, th.delta, th.trials, rng, conv)
-               for conv in conventions]
+               for conv in th.conventions]
     inst_rng = cfg.rng("theory-instances")
     dominance_ok = True
     worst_gap = -np.inf

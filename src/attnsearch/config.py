@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import typing
 from dataclasses import dataclass, field
@@ -21,10 +22,13 @@ from .data import Dataset, load_csv, make_blob_dataset, make_digits_dataset, spl
 from .nncore import OptimizerConfig
 from .rewards import RewardConfig, RNDPair
 from .rngstreams import named_rng
-from .supernet import BackboneConfig, SupernetState, _positive_ints
+from .supernet import BackboneConfig, SupernetState
 from .search import SyntheticLandscape
+from .theory import thm1_width_bound
 
 ENV_SEED = "ATTNSEARCH_SEED"
+# normal draws `verify-thm1` may make: 25x the default config's 4.0e9
+MAX_THM1_DRAWS = 10 ** 11
 
 
 @dataclass(frozen=True)
@@ -32,7 +36,6 @@ class DatasetSpec:
     kind: str = "blobs"  # "blobs" | "digits" | "csv"
     classes: int = 4
     per_class: int = 80
-    shape: tuple = (1, 8, 8)
     noise: float = 0.12
     val_fraction: float = 0.2
     blobs_per_class: int = 2
@@ -41,11 +44,11 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         _check_at_least("dataset", self, 1, "classes", "per_class", "blobs_per_class")
         _check_at_least("dataset", self, 0, "noise")
-        _require("dataset", self, "shape", len(self.shape) == 3 and _positive_ints(self.shape),
-                 "be three positive integers (C, H, W)")
-        # a blob centre is drawn from [1, side - 1]
-        _require("dataset", self, "shape", self.kind != "blobs" or min(self.shape[1:]) >= 2,
-                 "have H, W >= 2 for blobs")
+        _require("dataset", self, "kind", self.kind in ("blobs", "digits", "csv"),
+                 "be 'blobs', 'digits' or 'csv'")
+        _require("dataset", self, "csv_path", self.kind != "csv" or bool(self.csv_path),
+                 "be set for kind 'csv'")
+        _require("dataset", self, "val_fraction", 0 < self.val_fraction < 1, "lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,9 @@ class ControllerSpec:
 @dataclass(frozen=True)
 class SearchSpec:
     iterations: int = 300
-    wallclock_seconds: float | None = None
+
+    def __post_init__(self) -> None:
+        _check_at_least("search", self, 1, "iterations")
 
 
 @dataclass(frozen=True)
@@ -115,6 +120,26 @@ class TheorySpec:
             raise ValueError("config field 'theory.dof_convention' must be 'literal', "
                              f"'corrected' or 'both', got {self.dof_convention!r}")
         _check_at_least("theory", self, 1, "probes")
+        _check_at_least("theory", self, 2, "d")
+        _check_at_least("theory", self, 100, "trials")
+        _require("theory", self, "epsilon", self.epsilon > 0, "be > 0")
+        _require("theory", self, "delta", 0 < self.delta < 1, "lie in (0, 1)")
+        try:
+            width = max(thm1_width_bound(self.d, self.epsilon, self.delta, conv)
+                        for conv in self.conventions)
+        except ValueError:  # a tail probability of 1: no finite width
+            width = math.inf
+        draws = self.trials * self.d * width
+        if draws > MAX_THM1_DRAWS:
+            raise ValueError(f"config section 'theory' needs {draws:.2g} normal draws in "
+                             f"verify-thm1 (trials x d x width bound), more than "
+                             f"{MAX_THM1_DRAWS:.0e}; raise theory.epsilon or lower theory.trials")
+
+    @property
+    def conventions(self) -> list[str]:
+        """The chi-square conventions `verify-thm1` runs, in order."""
+        return ["literal", "corrected"] if self.dof_convention == "both" \
+            else [self.dof_convention]
 
 
 @dataclass(frozen=True)
@@ -132,6 +157,15 @@ class ExperimentConfig:
     theory: TheorySpec = field(default_factory=TheorySpec)
 
     def __post_init__(self) -> None:
+        _require("", self, "seed", self.seed >= 0, "be >= 0")
+        shape = tuple(self.backbone.input_shape)
+        # a blob centre is drawn from [1, side - 1]; glyphs are fixed 8x8 stencils
+        _require("backbone", self.backbone, "input_shape",
+                 self.dataset.kind != "blobs" or min(shape[1:]) >= 2,
+                 "have H, W >= 2 for dataset.kind 'blobs'")
+        _require("backbone", self.backbone, "input_shape",
+                 self.dataset.kind != "digits" or shape == (1, 8, 8),
+                 "be (1, 8, 8) for dataset.kind 'digits'")
         # generated datasets label 0..classes-1, and every label needs a logit
         if self.dataset.kind != "csv" and self.dataset.classes > self.backbone.classes:
             raise ValueError(f"dataset has {self.dataset.classes} classes but the backbone "
@@ -172,25 +206,17 @@ class ExperimentConfig:
         spec = self.dataset
         rng = self.rng("dataset")
         if spec.kind == "blobs":
-            full = make_blob_dataset(spec.classes, spec.per_class, tuple(spec.shape),
+            full = make_blob_dataset(spec.classes, spec.per_class, self.backbone.input_shape,
                                      spec.noise, rng, spec.blobs_per_class)
         elif spec.kind == "digits":
             full = make_digits_dataset(spec.classes, spec.per_class, spec.noise, rng)
-        elif spec.kind == "csv":
-            if not spec.csv_path:
-                raise ValueError("dataset.kind 'csv' needs dataset.csv_path")
-            full = load_csv(spec.csv_path, tuple(spec.shape))
+        else:  # csv
+            full = load_csv(spec.csv_path, self.backbone.input_shape)
             # every label needs a logit; a negative one would index from the end
             bad = full.labels[(full.labels < 0) | (full.labels >= self.backbone.classes)]
             if bad.size:
                 raise ValueError(f"{spec.csv_path}: label {bad[0]} is not a class of the "
                                  f"backbone's {self.backbone.classes}")
-        else:
-            raise ValueError(f"unknown dataset kind {spec.kind!r}")
-        if full.sample_shape != tuple(self.backbone.input_shape):
-            raise ValueError(
-                f"dataset shape {full.sample_shape} does not match backbone "
-                f"input {tuple(self.backbone.input_shape)}")
         return split_train_val(full, spec.val_fraction, rng)
 
     def build_supernet(self) -> SupernetState:
@@ -245,9 +271,10 @@ def _from_dict(cls, raw: dict, section: str):
 
 
 def _require(section: str, spec, name: str, ok: bool, rule: str) -> None:
+    """`section` is "" for a top-level field."""
     if not ok:  # a NaN fails every comparison, so `ok` is False for it too
-        raise ValueError(f"config field '{section}.{name}' must {rule}, "
-                         f"got {getattr(spec, name)!r}")
+        where = f"{section}.{name}" if section else name
+        raise ValueError(f"config field '{where}' must {rule}, got {getattr(spec, name)!r}")
 
 
 def _check_at_least(section: str, spec, minimum: int, *names: str) -> None:

@@ -10,7 +10,6 @@ deterministic synthetic landscape for fast, exact searcher testing.
 from __future__ import annotations
 
 import functools
-import time
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -90,25 +89,8 @@ class PeakedLandscape:
 
 
 # ---------------------------------------------------------------------------
-# budgets, verdicts, traces
+# verdicts, traces
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SearchBudget:
-    iterations: int | None = None
-    wallclock_seconds: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.iterations is None and self.wallclock_seconds is None:
-            raise ValueError("at least one budget cap must be finite")
-
-    def exhausted(self, iteration: int, started: float) -> bool:
-        """`iterations` counts scores delivered, one per iteration, not evaluator calls."""
-        if self.iterations is not None and iteration >= self.iterations:
-            return True
-        return self.wallclock_seconds is not None \
-            and time.perf_counter() - started >= self.wallclock_seconds
-
 
 @dataclass
 class TicketVerdict:
@@ -166,28 +148,29 @@ def _scored_once(evaluator):
 # ---------------------------------------------------------------------------
 
 def ean_search(evaluator, controller: ControllerState, rewards: RewardConfig,
-               budget: SearchBudget, rng: np.random.Generator,
+               iterations: int, rng: np.random.Generator,
                rnd_pair: RNDPair | None = None) -> SearchResult:
     """Sample schemes from the controller, reward, ascend, replay.
 
-    Per iteration: forward the controller, sample one scheme, score it,
-    compute the reward components, take one policy-gradient step, push the
-    rollout to the buffer, run an importance-weighted replay update every
-    `ppo_period` steps, then train the novelty predictor on the scheme.
+    Per iteration, `iterations` times: forward the controller, sample one
+    scheme, score it, compute the reward components, take one policy-gradient
+    step, push the rollout to the buffer, run an importance-weighted replay
+    update every `ppo_period` steps, then train the novelty predictor on the
+    scheme.
     Returns the top three distinct schemes by combined reward plus the full
     per-iteration trace. `evaluator` must be a pure function of the scheme:
     each distinct scheme is scored once and reused on a repeat."""
+    if iterations < 1:
+        raise ValueError(f"iterations must be at least 1, got {iterations}")
     if not getattr(evaluator, "pretrained", True):
         warnings.warn("searching against an un-pretrained proxy; accuracy "
                       "rewards will be close to chance", stacklevel=2)
     if rewards.lambda_rnd > 0 and rnd_pair is None:
         raise ValueError("lambda_rnd > 0 requires an RNDPair")
     score = _scored_once(evaluator)
-    started = time.perf_counter()
-    iteration = 0
     best: dict[ConnectionScheme, float] = {}
     trace: list[TraceRow] = []
-    while not budget.exhausted(iteration, started):
+    for iteration in range(iterations):
         probs = controller_forward(controller)
         scheme, p_hat, _ = sample_and_score(probs, rng)
         g_val = score(scheme)
@@ -203,7 +186,6 @@ def ean_search(evaluator, controller: ControllerState, rewards: RewardConfig,
                               mean_prob(p_hat)))
         if scheme not in best or bundle.combined > best[scheme]:
             best[scheme] = bundle.combined
-        iteration += 1
     ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0].to_string()))
     return SearchResult(best=ranked[:3], trace=trace)
 

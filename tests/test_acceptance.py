@@ -19,7 +19,7 @@ from attnsearch.controller import (ControllerState, RolloutTuple,
                                    reinforce_objective, sample_and_score)
 from attnsearch.nncore import OptimizerConfig
 from attnsearch.rewards import RewardConfig, RNDPair, sparsity_reward
-from attnsearch.search import (PeakedLandscape, SearchBudget, SyntheticLandscape,
+from attnsearch.search import (PeakedLandscape, SyntheticLandscape,
                                all_schemes, ean_search, exhaustive_search,
                                ga_search, sample_fixed_ones)
 from attnsearch.stats import pearson, pearson_pvalue_one_sided
@@ -93,8 +93,7 @@ def test_criterion_02_search_quality_vs_exhaustive():
     for seed in range(10):
         controller = ControllerState(8, momentum=0.0, ratio_bounds=(0.0, math.inf),
                                      rng=np.random.default_rng(100 + seed))
-        res = ean_search(land, controller, RewardConfig(0.0, 1.0, 0.0),
-                         SearchBudget(iterations=300),
+        res = ean_search(land, controller, RewardConfig(0.0, 1.0, 0.0), 300,
                          np.random.default_rng(200 + seed))
         ean_hits += rank_of[res.best[0][0]] < 0.05 * 256
         best, _ = ga_search(land, 8, 20, 15, np.random.default_rng(300 + seed),
@@ -272,7 +271,7 @@ def test_criterion_09_convergence_diagnostics():
             pair = (RNDPair(8, np.random.default_rng(2000 + seed), init_scale=0.5)
                     if lam3 else None)
             cfg = RewardConfig(0.0, 1.0, lam3) if lam3 else RewardConfig(0.0, 1.0, 0.0)
-            return ean_search(land, c, cfg, SearchBudget(iterations=300),
+            return ean_search(land, c, cfg, 300,
                               np.random.default_rng(3000 + seed), pair).trace
         plain = run(0.0)
         bonused = run(0.1)
@@ -293,8 +292,7 @@ def test_criterion_10_reproducibility(tmp_path):
         "seed": 11,
         "backbone": {"stages": [[2, 4], [2, 6]], "input_shape": [1, 6, 6],
                      "classes": 3, "sam": "se", "reduction": 2},
-        "dataset": {"classes": 3, "per_class": 12, "shape": [1, 6, 6],
-                    "noise": 0.3},
+        "dataset": {"classes": 3, "per_class": 12, "noise": 0.3},
         "supernet": {"steps": 10, "batch_size": 4, "learning_rate": 0.02,
                      "weight_decay": 0.001, "lr_drop_step": None},
         "search": {"iterations": 6},

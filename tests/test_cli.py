@@ -20,7 +20,7 @@ TINY = {
     "seed": 4,
     "backbone": {"stages": [[2, 4], [2, 6]], "input_shape": [1, 6, 6], "classes": 3,
                  "sam": "se", "reduction": 2},
-    "dataset": {"classes": 3, "per_class": 12, "shape": [1, 6, 6], "noise": 0.3},
+    "dataset": {"classes": 3, "per_class": 12, "noise": 0.3},
     "supernet": {"steps": 12, "batch_size": 4, "learning_rate": 0.02,
                  "weight_decay": 0.001, "lr_drop_step": None},
     "search": {"iterations": 8},
@@ -92,13 +92,10 @@ class TestPretrainAndSearch:
         cfg = dict(TINY, output_dir=str(tmp_path / "zero"), search={"iterations": 0})
         path = tmp_path / "zero.json"
         path.write_text(json.dumps(cfg))
-        ckpt = tmp_path / "zero.ckpt"
-        assert run("pretrain", "--config", path, "--output-dir", tmp_path / "p",
-                   "--out", ckpt) == 0
-        capsys.readouterr()
-        assert run("search", "--config", path, "--checkpoint", ckpt) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: search budget") and err.count("\n") == 1
+        # refused at load, before the checkpoint is opened
+        assert run("search", "--config", path, "--checkpoint", tmp_path / "none.ckpt") == 1
+        assert capsys.readouterr().err == \
+            "error: config field 'search.iterations' must be >= 1, got 0\n"
         assert not (tmp_path / "zero").exists()
 
     def test_search_refuses_an_unpretrained_checkpoint(self, tmp_path, capsys):
@@ -375,12 +372,12 @@ class TestErrors:
         ("dataset", {"blobs_per_class": 0}, "'dataset.blobs_per_class' must be >= 1, got 0"),
         ("dataset", {"per_class": -1}, "'dataset.per_class' must be >= 1, got -1"),
         ("dataset", {"classes": -1}, "'dataset.classes' must be >= 1, got -1"),
-        ("dataset", {"shape": [1, 8.5, 8]},
-         "'dataset.shape' must be three positive integers (C, H, W), got (1, 8.5, 8)"),
-        ("dataset", {"shape": [1, 6.0, 6]},
-         "'dataset.shape' must be three positive integers (C, H, W), got (1, 6.0, 6)"),
-        ("dataset", {"shape": [1, 1, 1]},
-         "'dataset.shape' must have H, W >= 2 for blobs, got (1, 1, 1)"),
+        ("backbone", {"input_shape": [1, 8.5, 8]},
+         "input_shape must be three positive integers (C, H, W), got (1, 8.5, 8)"),
+        ("backbone", {"input_shape": [1, 6.0, 6]},
+         "input_shape must be three positive integers (C, H, W), got (1, 6.0, 6)"),
+        ("backbone", {"stages": [[1, 4]], "input_shape": [1, 1, 1]},
+         "'backbone.input_shape' must have H, W >= 2 for dataset.kind 'blobs', got (1, 1, 1)"),
         ("dataset", {"noise": -1.0}, "'dataset.noise' must be >= 0, got -1.0"),
         ("supernet", {"lr_drop_step": -1}, "'supernet.lr_drop_step' must be >= 0 or null, got -1"),
         ("supernet", {"beta": 1.5, "steps": 0}, "'supernet.beta' must lie in [0, 1], got 1.5"),
@@ -388,6 +385,30 @@ class TestErrors:
         ("search", {"evaluations": 5}, "unknown config keys: ['search.evaluations']"),
         ("rewards", {"normalize_rnd": False}, "unknown config keys: ['rewards.normalize_rnd']"),
         ("controller", {"clip_ratios": True}, "unknown config keys: ['controller.clip_ratios']"),
+        ("search", {"iterations": 0}, "'search.iterations' must be >= 1, got 0"),
+        ("search", {"wallclock_seconds": 5.0},
+         "unknown config keys: ['search.wallclock_seconds']"),
+        ("dataset", {"shape": [1, 6, 6]}, "unknown config keys: ['dataset.shape']"),
+        ("dataset", {"kind": "digits"},
+         "'backbone.input_shape' must be (1, 8, 8) for dataset.kind 'digits', got (1, 6, 6)"),
+        ("dataset", {"kind": "pixels"},
+         "'dataset.kind' must be 'blobs', 'digits' or 'csv', got 'pixels'"),
+        ("dataset", {"kind": "csv"}, "'dataset.csv_path' must be set for kind 'csv', got None"),
+        ("dataset", {"val_fraction": 0}, "'dataset.val_fraction' must lie in (0, 1), got 0"),
+        ("dataset", {"val_fraction": 1.0},
+         "'dataset.val_fraction' must lie in (0, 1), got 1.0"),
+        (None, {"seed": -1}, "config field 'seed' must be >= 0, got -1"),
+        ("theory", {"d": 1}, "'theory.d' must be >= 2, got 1"),
+        ("theory", {"epsilon": 0}, "'theory.epsilon' must be > 0, got 0"),
+        ("theory", {"delta": 1.5}, "'theory.delta' must lie in (0, 1), got 1.5"),
+        ("theory", {"delta": 0}, "'theory.delta' must lie in (0, 1), got 0"),
+        ("theory", {"trials": 5}, "'theory.trials' must be >= 100, got 5"),
+        ("theory", {"epsilon": 1e-3},
+         "config section 'theory' needs 7.7e+15 normal draws in verify-thm1 (trials x d x "
+         "width bound), more than 1e+11; raise theory.epsilon or lower theory.trials"),
+        ("theory", {"epsilon": 1e-10}, "needs inf normal draws in verify-thm1"),
+        ("theory", {"dof_convention": "both", "epsilon": 0.05, "trials": 20000},
+         "needs 1.6e+11 normal draws in verify-thm1"),
     ], ids=["string-steps", "zero-channels", "no-stages", "class-mismatch", "ratio-text",
             "bogus-dof", "zero-probes", "zero-ppo-period", "zero-buffer", "zero-batch",
             "negative-steps", "zero-samples-per-ratio", "negative-lr-drop",
@@ -398,19 +419,32 @@ class TestErrors:
             "no-ratios", "zero-blobs", "negative-per-class", "negative-classes",
             "fractional-shape", "float-shape", "one-pixel-blobs", "negative-noise",
             "negative-lr-drop-step", "beta-above-one", "negative-beta", "removed-evaluations",
-            "removed-normalize-rnd", "removed-clip-ratios"])
+            "removed-normalize-rnd", "removed-clip-ratios", "zero-iterations",
+            "removed-wallclock", "removed-dataset-shape", "digits-not-8x8",
+            "unknown-kind", "csv-without-path", "zero-val-fraction", "val-fraction-one",
+            "negative-seed", "theory-d-one", "zero-epsilon", "delta-above-one", "zero-delta",
+            "few-trials", "tiny-epsilon", "unbounded-width", "both-conventions-too-wide"])
     def test_bad_config_exits_1_with_one_line(self, tmp_path, capsys, section, patch, message):
         cfg = dict(TINY, output_dir=str(tmp_path / "o"))
-        cfg[section] = {k: v for k, v in {**TINY.get(section, {}), **patch}.items()
-                        if v is not None}
+        if section is None:
+            cfg.update(patch)
+        else:
+            cfg[section] = {k: v for k, v in {**TINY.get(section, {}), **patch}.items()
+                            if v is not None}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
-        for command in ("pretrain", "study"):
-            assert run(command, "--config", path) == 1
+        rows = tmp_path / "rows" / "study_rows.csv"
+        write_csv(rows, "d" * 64, ["ratio", "accuracy"], [(0.5, 0.75)])
+        for command in (["pretrain"], ["search", "--checkpoint", tmp_path / "none.ckpt"],
+                        ["enumerate"], ["study"], ["baseline", "hsp"], ["baseline", "ga"],
+                        ["baseline", "l1", "--checkpoint", tmp_path / "none.ckpt"],
+                        ["verify-thm1"], ["extend-demo"], ["report", "--rows", rows]):
+            assert run(*command, "--config", path) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
             assert message in err
             assert not (tmp_path / "o").exists()
+        assert [p.name for p in rows.parent.iterdir()] == ["study_rows.csv"]
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_json_constants_exit_1_with_one_line(self, tmp_path, capsys, token):
@@ -434,7 +468,7 @@ class TestErrors:
         pixels = ",".join(["0.5"] * 36)
         data.write_text("".join(f"{y},{pixels}\n" for y in [0, 1, 2, label] * 4))
         cfg = dict(TINY, output_dir=str(tmp_path / "o"),
-                   dataset={"kind": "csv", "csv_path": str(data), "shape": [1, 6, 6]})
+                   dataset={"kind": "csv", "csv_path": str(data)})
         path = tmp_path / "csv.json"
         path.write_text(json.dumps(cfg))
         assert run("pretrain", "--config", path) == 1
@@ -456,7 +490,7 @@ class TestErrors:
         rows[2] = f"{label},{pixels},{pixel}\n"
         data.write_text("".join(rows))
         cfg = dict(TINY, output_dir=str(tmp_path / "o"),
-                   dataset={"kind": "csv", "csv_path": str(data), "shape": [1, 6, 6]})
+                   dataset={"kind": "csv", "csv_path": str(data)})
         path = tmp_path / "csv.json"
         path.write_text(json.dumps(cfg))
         assert run("pretrain", "--config", path) == 1

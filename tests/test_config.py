@@ -40,7 +40,7 @@ def test_non_object_config_refused(raw):
 def test_default_digest_is_pinned():
     # every output header carries this; a change here is a declared output change
     assert ExperimentConfig().digest() == \
-        "a55839f332efe17b88d4ac7d579bc5f1d0213d90388a14e5d324022f4c6074bd"
+        "f2aa2c1a275e463413211838c180b0054ba4032b0996e299b59acdf1637f609d"
 
 
 def test_digest_stable_and_sensitive(tmp_path):
@@ -102,9 +102,21 @@ def test_dataset_builder_is_deterministic():
 
 
 def test_dataset_shape_must_match_backbone():
-    cfg = ExperimentConfig.from_dict({"dataset": {"shape": [1, 6, 6]}})
-    with pytest.raises(ValueError, match="does not match backbone"):
-        cfg.build_dataset()
+    # the glyphs are 8x8 stencils: a digits dataset needs a (1, 8, 8) input
+    with pytest.raises(ValueError, match=r"'backbone.input_shape' must be \(1, 8, 8\) for "
+                                         r"dataset.kind 'digits', got \(1, 6, 6\)"):
+        ExperimentConfig.from_dict({"dataset": {"kind": "digits"},
+                                    "backbone": {"stages": [[2, 4]], "input_shape": [1, 6, 6],
+                                                 "classes": 4}})
+
+
+def test_thm1_draw_bound_covers_every_convention_run():
+    # literal alone needs 3.9e9 draws; "both" also runs corrected, which needs 1.6e11
+    theory = {"d": 4, "epsilon": 0.05, "delta": 0.2, "trials": 20000}
+    ExperimentConfig.from_dict({"theory": dict(theory, dof_convention="literal")})
+    with pytest.raises(ValueError, match=r"needs 1.6e\+11 normal draws .* more than 1e\+11; "
+                                         r"raise theory.epsilon or lower theory.trials$"):
+        ExperimentConfig.from_dict({"theory": dict(theory, dof_convention="both")})
 
 
 def test_named_streams_are_independent():
@@ -133,8 +145,7 @@ def test_csv_config_kind(tmp_path):
     path = tmp_path / "corpus.csv"
     save_csv(path, train)
     cfg = ExperimentConfig.from_dict({
-        "dataset": {"kind": "csv", "csv_path": str(path), "shape": [1, 8, 8],
-                    "classes": 4},
+        "dataset": {"kind": "csv", "csv_path": str(path), "classes": 4},
     })
     t, v = cfg.build_dataset()
     assert len(t) + len(v) == len(train)

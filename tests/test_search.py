@@ -7,10 +7,10 @@ import pytest
 
 from attnsearch.controller import ControllerState, controller_forward
 from attnsearch.rewards import RewardConfig, RNDPair, combined_reward, sparsity_reward
-from attnsearch.search import (PeakedLandscape, SearchBudget, SyntheticLandscape,
-                               all_schemes, classify_ticket, ean_search,
-                               exhaustive_search, ga_search, hsp_scheme,
-                               l1_prune_baseline, random_ratio_study)
+from attnsearch.search import (PeakedLandscape, SyntheticLandscape, all_schemes,
+                               classify_ticket, ean_search, exhaustive_search,
+                               ga_search, hsp_scheme, l1_prune_baseline,
+                               random_ratio_study)
 from attnsearch.supernet import (BackboneConfig, ConnectionScheme, SupernetState,
                                  count_params, flop_increment_pct)
 
@@ -228,8 +228,7 @@ class TestEANSearch:
             controller = ControllerState(5, lr=0.02, momentum=0.0,
                                          rng=np.random.default_rng(100 + seed))
             result = ean_search(lambda s: 0.0, controller,
-                                RewardConfig(1.0, 0.0, 0.0),
-                                SearchBudget(iterations=300),
+                                RewardConfig(1.0, 0.0, 0.0), 300,
                                 np.random.default_rng(200 + seed))
             assert len(result.trace) == 300
             wins += bool((controller_forward(controller) < 0.5).all()
@@ -246,8 +245,7 @@ class TestEANSearch:
                 return 1.0 if s == needle else 0.0
 
             controller = make_controller(8, 600 + seed)
-            result = ean_search(evaluator, controller, RewardConfig(0.0, 1.0, 0.0),
-                                SearchBudget(iterations=1000),
+            result = ean_search(evaluator, controller, RewardConfig(0.0, 1.0, 0.0), 1000,
                                 np.random.default_rng(6000 + seed))
             hits += result.best[0][0] == needle and result.best[0][1] == 1.0
         assert hits >= 18
@@ -256,7 +254,7 @@ class TestEANSearch:
         land = SyntheticLandscape(8, 62)
         controller = make_controller(8, 63)
         result = ean_search(land, controller, RewardConfig(0.0, 1.0, 0.0),
-                            SearchBudget(iterations=50), np.random.default_rng(64))
+                            50, np.random.default_rng(64))
         for row in result.trace:
             assert row.reward == row.g_val
             assert row.g_rnd == 0.0
@@ -265,7 +263,7 @@ class TestEANSearch:
         land = SyntheticLandscape(6, 65)
         controller = make_controller(6, 66)
         result = ean_search(land, controller, RewardConfig(0.0, 1.0, 0.0),
-                            SearchBudget(iterations=100), np.random.default_rng(67))
+                            100, np.random.default_rng(67))
         assert result.best[0][1] <= exhaustive_search(land, 6)[0][1] + 1e-12
 
     def test_bit_reproducible_given_seed(self):
@@ -274,8 +272,7 @@ class TestEANSearch:
         def run():
             controller = make_controller(8, 69)
             pair = RNDPair(8, np.random.default_rng(70))
-            return ean_search(land, controller, RewardConfig(0.5, 1.0, 0.1),
-                              SearchBudget(iterations=60),
+            return ean_search(land, controller, RewardConfig(0.5, 1.0, 0.1), 60,
                               np.random.default_rng(71), pair)
 
         t1, t2 = run().trace, run().trace
@@ -291,20 +288,20 @@ class TestEANSearch:
         controller = make_controller(4, 72)
         with pytest.warns(UserWarning, match="un-pretrained"):
             ean_search(Fake(), controller, RewardConfig(0.0, 1.0, 0.0),
-                       SearchBudget(iterations=3), np.random.default_rng(73))
+                       3, np.random.default_rng(73))
 
     def test_missing_rnd_pair_rejected(self):
         controller = make_controller(4, 74)
         with pytest.raises(ValueError, match="RNDPair"):
             ean_search(lambda s: 0.0, controller, RewardConfig(0.0, 1.0, 0.1),
-                       SearchBudget(iterations=3), np.random.default_rng(75))
+                       3, np.random.default_rng(75))
 
     def test_evaluation_budget_cap(self):
         # the cap counts scores delivered; repeats are not re-scored
         counted = CountingEvaluator(lambda s: 0.5)
         controller = make_controller(4, 76)
         result = ean_search(counted, controller, RewardConfig(0.0, 1.0, 0.0),
-                            SearchBudget(iterations=17), np.random.default_rng(77))
+                            17, np.random.default_rng(77))
         assert len(result.trace) == 17
         assert len(counted.calls) == len({r.scheme for r in result.trace})
 
@@ -313,16 +310,27 @@ class TestEANSearch:
         counted = CountingEvaluator(land)
         controller = make_controller(4, 79)
         result = ean_search(counted, controller, RewardConfig(0.5, 1.0, 0.0),
-                            SearchBudget(iterations=80), np.random.default_rng(80))
+                            80, np.random.default_rng(80))
         assert len(counted.calls) == len(set(counted.calls))
         assert set(counted.calls) == {r.scheme for r in result.trace}
         assert len(counted.calls) < len(result.trace)  # repeats were drawn
         for row in result.trace:
             assert row.g_val == land(ConnectionScheme.from_string(row.scheme))
 
-    def test_budget_requires_one_cap(self):
-        with pytest.raises(ValueError):
-            SearchBudget()
+    @pytest.mark.parametrize("iterations", [1, 17])
+    def test_runs_exactly_the_requested_iterations(self, iterations):
+        controller = make_controller(4, 81)
+        result = ean_search(SyntheticLandscape(4, 82), controller,
+                            RewardConfig(0.5, 1.0, 0.0), iterations,
+                            np.random.default_rng(83))
+        assert [r.iteration for r in result.trace] == list(range(iterations))
+        assert 1 <= len(result.best) <= 3
+
+    def test_zero_iterations_refused(self):
+        controller = make_controller(4, 84)
+        with pytest.raises(ValueError, match="iterations must be at least 1, got 0"):
+            ean_search(lambda s: 0.5, controller, RewardConfig(0.0, 1.0, 0.0), 0,
+                       np.random.default_rng(85))
 
 
 class TestPeakedLandscape:

@@ -665,8 +665,7 @@ class TestStandaloneTraining:
         from attnsearch.config import ExperimentConfig
         cfg = ExperimentConfig.from_dict({
             "seed": 1,
-            "dataset": {"classes": 3, "noise": 0.03, "per_class": 30,
-                        "shape": [1, 6, 6], "val_fraction": 0.3},
+            "dataset": {"classes": 3, "noise": 0.03, "per_class": 30, "val_fraction": 0.3},
             "backbone": {"stages": [[2, 4], [2, 6]], "input_shape": [1, 6, 6],
                          "classes": 3, "reduction": 2},
         })
