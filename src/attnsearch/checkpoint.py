@@ -15,7 +15,7 @@ import struct
 import numpy as np
 
 MAGIC = b"ATSNCHK1"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -50,7 +50,7 @@ def save_checkpoint(path, net, config_digest: str) -> None:
         digest_b = config_digest.encode("ascii")
         fh.write(struct.pack("<H", len(digest_b)))
         fh.write(digest_b)
-        fh.write(struct.pack("<QB", net.step_count, 1 if net.pretrained else 0))
+        fh.write(struct.pack("<Q", net.step_count))
         fh.write(struct.pack("<I", len(pairs)))
         for name, param in pairs:
             name_b = name.encode("ascii")
@@ -66,7 +66,8 @@ def load_checkpoint(path, net, expected_digest: str) -> None:
     """Overwrite net's parameters in place; net must match the saved layout.
 
     Every field is read at its exact length, and a short read, trailing
-    bytes or a repeated name is refused before any parameter changes.
+    bytes, a repeated name or a NaN/inf entry is refused before any
+    parameter changes.
     """
     with open(path, "rb") as fh:
 
@@ -89,7 +90,7 @@ def load_checkpoint(path, net, expected_digest: str) -> None:
         if digest != expected_digest:
             raise CheckpointError(
                 f"{path}: config digest mismatch (file {digest[:12]}…, expected {expected_digest[:12]}…)")
-        step_count, pretrained = unpack("<QB")
+        (step_count,) = unpack("<Q")
         (nblobs,) = unpack("<I")
         expected = dict(net.named_parameters())
         if nblobs != len(expected):
@@ -110,9 +111,10 @@ def load_checkpoint(path, net, expected_digest: str) -> None:
                 raise CheckpointError(
                     f"{path}: {name} has shape {shape}, net expects {value.shape}")
             blobs[name] = np.frombuffer(read(8 * value.size), dtype="<f8").reshape(shape)
+            if not np.isfinite(blobs[name]).all():
+                raise CheckpointError(f"{path}: {name} holds a non-finite value")
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after the last parameter")
     for name, blob in blobs.items():
         expected[name].value[...] = blob
     net.step_count = step_count
-    net.pretrained = bool(pretrained)

@@ -157,7 +157,7 @@ def cmd_pretrain(args) -> int:
 def cmd_search(args) -> int:
     cfg, outdir, digest = _prepare(args)
     evaluator = _supernet_evaluator(cfg, args.checkpoint)
-    if not evaluator.pretrained:  # its scores would be close to chance
+    if evaluator.net.step_count == 0:  # its scores would be close to chance
         raise _UsageError(f"{args.checkpoint}: the backbone was never pre-trained "
                           "(supernet.steps 0); search needs a pre-trained proxy")
     controller = cfg.build_controller()

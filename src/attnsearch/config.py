@@ -46,6 +46,8 @@ class DatasetSpec:
         _check_at_least("dataset", self, 0, "noise")
         _require("dataset", self, "kind", self.kind in ("blobs", "digits", "csv"),
                  "be 'blobs', 'digits' or 'csv'")
+        _require("dataset", self, "classes", self.kind != "digits" or self.classes <= 10,
+                 "be <= 10 for kind 'digits'")
         _require("dataset", self, "csv_path", self.kind != "csv" or bool(self.csv_path),
                  "be set for kind 'csv'")
         _require("dataset", self, "val_fraction", 0 < self.val_fraction < 1, "lie in (0, 1)")
@@ -63,26 +65,14 @@ class SupernetSpec:
     lr_drop_factor: float = 0.1
 
     def __post_init__(self) -> None:
-        _check_at_least("supernet", self, 0, "steps")
+        _check_at_least("supernet", self, 0, "steps", "weight_decay")
         _check_at_least("supernet", self, 1, "batch_size")
+        _require("supernet", self, "learning_rate", self.learning_rate > 0, "be > 0")
+        _require("supernet", self, "momentum", 0 <= self.momentum < 1, "lie in [0, 1)")
         _require("supernet", self, "beta", 0 <= self.beta <= 1, "lie in [0, 1]")
         _require("supernet", self, "lr_drop_step",
                  self.lr_drop_step is None or self.lr_drop_step >= 0, "be >= 0 or null")
         _require("supernet", self, "lr_drop_factor", self.lr_drop_factor > 0, "be > 0")
-
-
-@dataclass(frozen=True)
-class ControllerSpec:
-    hidden: int = 64
-    learning_rate: float = 5e-2
-    momentum: float = 0.9
-    ppo_period: int = 10
-    buffer_capacity: int = 100
-
-    def __post_init__(self) -> None:
-        _check_at_least("controller", self, 1, "hidden", "ppo_period", "buffer_capacity")
-        _require("controller", self, "learning_rate", self.learning_rate > 0, "be > 0")
-        _require("controller", self, "momentum", 0 <= self.momentum < 1, "lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -150,7 +140,6 @@ class ExperimentConfig:
         stages=((3, 8), (3, 16), (2, 32)), input_shape=(1, 8, 8), classes=4))
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     supernet: SupernetSpec = field(default_factory=SupernetSpec)
-    controller: ControllerSpec = field(default_factory=ControllerSpec)
     rewards: RewardConfig = field(default_factory=RewardConfig)
     search: SearchSpec = field(default_factory=SearchSpec)
     study: StudySpec = field(default_factory=StudySpec)
@@ -178,7 +167,11 @@ class ExperimentConfig:
         cfg = _from_dict(cls, raw, "")
         env_seed = os.environ.get(ENV_SEED)
         if env_seed is not None:
-            cfg = dataclasses.replace(cfg, seed=int(env_seed))
+            try:
+                seed = int(env_seed)
+            except ValueError:
+                raise ValueError(f"{ENV_SEED} must be an integer, got {env_seed!r}") from None
+            cfg = dataclasses.replace(cfg, seed=seed)
         return cfg
 
     @classmethod
@@ -227,12 +220,7 @@ class ExperimentConfig:
         return OptimizerConfig(s.learning_rate, s.momentum, s.weight_decay)
 
     def build_controller(self) -> ControllerState:
-        c = self.controller
-        return ControllerState(self.backbone.total_blocks, hidden=c.hidden,
-                               lr=c.learning_rate, momentum=c.momentum,
-                               ppo_period=c.ppo_period,
-                               buffer_capacity=c.buffer_capacity,
-                               rng=self.rng("controller-init"))
+        return ControllerState(self.backbone.total_blocks, rng=self.rng("controller-init"))
 
     def build_rnd_pair(self) -> RNDPair | None:
         if self.rewards.lambda_rnd <= 0:

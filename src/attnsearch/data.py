@@ -24,10 +24,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def sample_shape(self) -> tuple[int, int, int]:
-        return tuple(self.images.shape[1:])
-
 
 def make_blob_dataset(classes: int, per_class: int, shape: tuple[int, int, int],
                       noise: float, rng: np.random.Generator,

@@ -10,7 +10,6 @@ deterministic synthetic landscape for fast, exact searcher testing.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -38,10 +37,6 @@ class SupernetEvaluator:
         self.net = net
         self.val_set = val_set
 
-    @property
-    def pretrained(self) -> bool:
-        return self.net.pretrained
-
     def __call__(self, scheme: ConnectionScheme) -> float:
         return evaluate_scheme(self.net, scheme, self.val_set)
 
@@ -52,8 +47,6 @@ class SyntheticLandscape:
     Coefficients are uniform-bounded and scale like 1/sqrt(m) and 1/m so no
     single bit dominates the score; outputs land strictly inside (0,1).
     """
-
-    pretrained = True
 
     def __init__(self, m: int, seed: int, linear_scale: float = 0.3,
                  pair_scale: float = 1.6) -> None:
@@ -71,8 +64,6 @@ class SyntheticLandscape:
 
 class PeakedLandscape:
     """One strongly preferred scheme; score decays with Hamming distance."""
-
-    pretrained = True
 
     def __init__(self, m: int, seed: int, floor: float = 0.1,
                  height: float = 0.9, tau: float = 1.0) -> None:
@@ -162,9 +153,6 @@ def ean_search(evaluator, controller: ControllerState, rewards: RewardConfig,
     each distinct scheme is scored once and reused on a repeat."""
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")
-    if not getattr(evaluator, "pretrained", True):
-        warnings.warn("searching against an un-pretrained proxy; accuracy "
-                      "rewards will be close to chance", stacklevel=2)
     if rewards.lambda_rnd > 0 and rnd_pair is None:
         raise ValueError("lambda_rnd > 0 requires an RNDPair")
     score = _scored_once(evaluator)

@@ -194,7 +194,6 @@ class SupernetState:
                 block.sam = shared if shared is not None else config.make_sam(ch, init_rng)
         self.layers += [GlobalAvgPool(), Dense(config.stage_channels[-1], config.classes, init_rng)]
         self.step_count = 0
-        self.pretrained = False
 
     @property
     def blocks(self) -> list:
@@ -332,8 +331,6 @@ def pretrain_supernet(net: SupernetState, train_set: Dataset, beta: float, steps
     _train_loop(net, train_set,
                 lambda: sample_bernoulli_scheme(beta, m, net.mask_rng),
                 steps, batch_size, opt, lr_drop_step, lr_drop_factor)
-    if steps > 0:
-        net.pretrained = True
     return net
 
 

@@ -4,6 +4,8 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
+import struct
 import warnings
 
 import numpy as np
@@ -345,9 +347,6 @@ class TestErrors:
         ("theory", {"dof_convention": "bogus"},
          "'theory.dof_convention' must be 'literal', 'corrected' or 'both', got 'bogus'"),
         ("theory", {"probes": 0}, "'theory.probes' must be >= 1, got 0"),
-        ("controller", {"ppo_period": 0}, "'controller.ppo_period' must be >= 1, got 0"),
-        ("controller", {"buffer_capacity": 0},
-         "'controller.buffer_capacity' must be >= 1, got 0"),
         ("supernet", {"batch_size": 0}, "'supernet.batch_size' must be >= 1, got 0"),
         ("supernet", {"steps": -5}, "'supernet.steps' must be >= 0, got -5"),
         ("study", {"samples_per_ratio": 0}, "'study.samples_per_ratio' must be >= 1, got 0"),
@@ -360,14 +359,10 @@ class TestErrors:
         ("backbone", {"sam": "sge", "groups": 5}, "groups 5 must lie in [1, 4]"),
         ("backbone", {"input_shape": [1, 0, 6]},
          "input_shape must be three positive integers (C, H, W), got (1, 0, 6)"),
-        ("controller", {"learning_rate": 0}, "'controller.learning_rate' must be > 0, got 0"),
-        ("controller", {"learning_rate": -0.05},
-         "'controller.learning_rate' must be > 0, got -0.05"),
-        ("controller", {"momentum": 1.0}, "'controller.momentum' must lie in [0, 1), got 1.0"),
-        ("controller", {"momentum": -0.5},
-         "'controller.momentum' must lie in [0, 1), got -0.5"),
-        ("controller", {"hidden": 0}, "'controller.hidden' must be >= 1, got 0"),
-        ("controller", {"hidden": -1}, "'controller.hidden' must be >= 1, got -1"),
+        ("controller", {"ppo_period": 0}, "unknown config keys: ['controller']"),
+        ("supernet", {"learning_rate": 0}, "'supernet.learning_rate' must be > 0, got 0"),
+        ("supernet", {"momentum": 1.0}, "'supernet.momentum' must lie in [0, 1), got 1.0"),
+        ("supernet", {"weight_decay": -0.1}, "'supernet.weight_decay' must be >= 0, got -0.1"),
         ("study", {"ratios": []}, "'study.ratios' must not be empty"),
         ("dataset", {"blobs_per_class": 0}, "'dataset.blobs_per_class' must be >= 1, got 0"),
         ("dataset", {"per_class": -1}, "'dataset.per_class' must be >= 1, got -1"),
@@ -384,13 +379,15 @@ class TestErrors:
         ("supernet", {"beta": -0.5, "steps": 0}, "'supernet.beta' must lie in [0, 1], got -0.5"),
         ("search", {"evaluations": 5}, "unknown config keys: ['search.evaluations']"),
         ("rewards", {"normalize_rnd": False}, "unknown config keys: ['rewards.normalize_rnd']"),
-        ("controller", {"clip_ratios": True}, "unknown config keys: ['controller.clip_ratios']"),
+        ("controller", {"clip_ratios": True}, "unknown config keys: ['controller']"),
         ("search", {"iterations": 0}, "'search.iterations' must be >= 1, got 0"),
         ("search", {"wallclock_seconds": 5.0},
          "unknown config keys: ['search.wallclock_seconds']"),
         ("dataset", {"shape": [1, 6, 6]}, "unknown config keys: ['dataset.shape']"),
         ("dataset", {"kind": "digits"},
          "'backbone.input_shape' must be (1, 8, 8) for dataset.kind 'digits', got (1, 6, 6)"),
+        ("dataset", {"kind": "digits", "classes": 11},
+         "'dataset.classes' must be <= 10 for kind 'digits', got 11"),
         ("dataset", {"kind": "pixels"},
          "'dataset.kind' must be 'blobs', 'digits' or 'csv', got 'pixels'"),
         ("dataset", {"kind": "csv"}, "'dataset.csv_path' must be set for kind 'csv', got None"),
@@ -410,18 +407,18 @@ class TestErrors:
         ("theory", {"dof_convention": "both", "epsilon": 0.05, "trials": 20000},
          "needs 1.6e+11 normal draws in verify-thm1"),
     ], ids=["string-steps", "zero-channels", "no-stages", "class-mismatch", "ratio-text",
-            "bogus-dof", "zero-probes", "zero-ppo-period", "zero-buffer", "zero-batch",
+            "bogus-dof", "zero-probes", "zero-batch",
             "negative-steps", "zero-samples-per-ratio", "negative-lr-drop",
             "zero-lr-drop", "zero-reduction", "reduction-past-width", "zero-groups",
-            "groups-past-width", "zero-input-height", "zero-controller-lr",
-            "negative-controller-lr", "controller-momentum-one",
-            "negative-controller-momentum", "zero-hidden", "negative-hidden",
+            "groups-past-width", "zero-input-height", "removed-controller",
+            "zero-supernet-lr", "supernet-momentum-one", "negative-weight-decay",
             "no-ratios", "zero-blobs", "negative-per-class", "negative-classes",
             "fractional-shape", "float-shape", "one-pixel-blobs", "negative-noise",
             "negative-lr-drop-step", "beta-above-one", "negative-beta", "removed-evaluations",
             "removed-normalize-rnd", "removed-clip-ratios", "zero-iterations",
             "removed-wallclock", "removed-dataset-shape", "digits-not-8x8",
-            "unknown-kind", "csv-without-path", "zero-val-fraction", "val-fraction-one",
+            "digits-past-10-classes", "unknown-kind", "csv-without-path",
+            "zero-val-fraction", "val-fraction-one",
             "negative-seed", "theory-d-one", "zero-epsilon", "delta-above-one", "zero-delta",
             "few-trials", "tiny-epsilon", "unbounded-width", "both-conventions-too-wide"])
     def test_bad_config_exits_1_with_one_line(self, tmp_path, capsys, section, patch, message):
@@ -433,18 +430,31 @@ class TestErrors:
                             if v is not None}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
-        rows = tmp_path / "rows" / "study_rows.csv"
-        write_csv(rows, "d" * 64, ["ratio", "accuracy"], [(0.5, 0.75)])
-        for command in (["pretrain"], ["search", "--checkpoint", tmp_path / "none.ckpt"],
-                        ["enumerate"], ["study"], ["baseline", "hsp"], ["baseline", "ga"],
-                        ["baseline", "l1", "--checkpoint", tmp_path / "none.ckpt"],
-                        ["verify-thm1"], ["extend-demo"], ["report", "--rows", rows]):
-            assert run(*command, "--config", path) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
-            assert message in err
-            assert not (tmp_path / "o").exists()
-        assert [p.name for p in rows.parent.iterdir()] == ["study_rows.csv"]
+        assert_every_config_command_refuses(tmp_path, capsys, path, message)
+
+    def test_env_seed_not_an_integer_exits_1_with_one_line(self, tmp_path, capsys,
+                                                            monkeypatch):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(dict(TINY, output_dir=str(tmp_path / "o"))))
+        monkeypatch.setenv("ATTNSEARCH_SEED", "x")
+        assert_every_config_command_refuses(
+            tmp_path, capsys, path, "error: ATTNSEARCH_SEED must be an integer, got 'x'\n")
+
+    def test_non_finite_checkpoint_exits_1_with_one_line(self, tiny_config, tmp_path, capsys):
+        ckpt = tmp_path / "p" / "supernet.ckpt"
+        assert run("pretrain", "--config", tiny_config, "--output-dir", tmp_path / "p") == 0
+        blob = ckpt.read_bytes()
+        # fc.bias is the last blob: its last entry is the file's last 8 bytes
+        ckpt.write_bytes(blob[:-8] + struct.pack("<d", math.nan))
+        capsys.readouterr()
+        for command in (["search"], ["enumerate", "--backend", "supernet"],
+                        ["study", "--backend", "supernet"],
+                        ["baseline", "hsp", "--backend", "supernet"],
+                        ["baseline", "ga", "--backend", "supernet"], ["baseline", "l1"]):
+            assert run(*command, "--config", tiny_config, "--checkpoint", ckpt) == 1
+            assert capsys.readouterr().err == \
+                f"error: {ckpt}: fc.bias holds a non-finite value\n"
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_json_constants_exit_1_with_one_line(self, tmp_path, capsys, token):
@@ -497,6 +507,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == f"error: {data}:3: {message}\n"
         assert not (tmp_path / "o").exists()
+
+
+def assert_every_config_command_refuses(tmp_path, capsys, path, message):
+    """Every command that reads the config at `path` exits 1 with one stderr line
+    holding `message`, and writes nothing."""
+    rows = tmp_path / "rows" / "study_rows.csv"
+    write_csv(rows, "d" * 64, ["ratio", "accuracy"], [(0.5, 0.75)])
+    for command in (["pretrain"], ["search", "--checkpoint", tmp_path / "none.ckpt"],
+                    ["enumerate"], ["study"], ["baseline", "hsp"], ["baseline", "ga"],
+                    ["baseline", "l1", "--checkpoint", tmp_path / "none.ckpt"],
+                    ["verify-thm1"], ["extend-demo"], ["report", "--rows", rows]):
+        assert run(*command, "--config", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "o").exists()
+    assert [p.name for p in rows.parent.iterdir()] == ["study_rows.csv"]
 
 
 def _config_fields():

@@ -16,7 +16,6 @@ from attnsearch.rngstreams import named_rng
 def test_defaults_resolve():
     cfg = ExperimentConfig()
     assert cfg.backbone.total_blocks == 8
-    assert cfg.controller.ppo_period == 10
     assert cfg.rewards.lambda_val == 1.0
 
 
@@ -40,7 +39,7 @@ def test_non_object_config_refused(raw):
 def test_default_digest_is_pinned():
     # every output header carries this; a change here is a declared output change
     assert ExperimentConfig().digest() == \
-        "f2aa2c1a275e463413211838c180b0054ba4032b0996e299b59acdf1637f609d"
+        "f57dc4c14e687cf811cb9ff1e23614875662826e12effaa018c0da52373901fc"
 
 
 def test_digest_stable_and_sensitive(tmp_path):
@@ -83,6 +82,12 @@ def test_env_var_overrides_seed_only(monkeypatch):
     assert cfg.output_dir == "runs/x"
 
 
+def test_env_seed_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("ATTNSEARCH_SEED", "x")
+    with pytest.raises(ValueError, match=r"^ATTNSEARCH_SEED must be an integer, got 'x'$"):
+        ExperimentConfig.from_dict({})
+
+
 def test_from_file_round_trip(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({"seed": 9, "dataset": {"classes": 3, "per_class": 5}}))
@@ -110,6 +115,16 @@ def test_dataset_shape_must_match_backbone():
                                                  "classes": 4}})
 
 
+def test_digits_provide_at_most_10_classes():
+    backbone = {"stages": [[2, 4]], "input_shape": [1, 8, 8], "classes": 11}
+    ExperimentConfig.from_dict({"dataset": {"kind": "digits", "classes": 10},
+                                "backbone": backbone})
+    with pytest.raises(ValueError, match=r"^config field 'dataset.classes' must be <= 10 "
+                                         r"for kind 'digits', got 11$"):
+        ExperimentConfig.from_dict({"dataset": {"kind": "digits", "classes": 11},
+                                    "backbone": backbone})
+
+
 def test_thm1_draw_bound_covers_every_convention_run():
     # literal alone needs 3.9e9 draws; "both" also runs corrected, which needs 1.6e11
     theory = {"d": 4, "epsilon": 0.05, "delta": 0.2, "trials": 20000}
@@ -132,7 +147,7 @@ def test_csv_dataset_round_trip(tmp_path):
     train, _ = cfg.build_dataset()
     path = tmp_path / "data.csv"
     save_csv(path, train)
-    again = load_csv(path, train.sample_shape)
+    again = load_csv(path, cfg.backbone.input_shape)
     np.testing.assert_allclose(again.images, train.images, atol=1e-9)
     np.testing.assert_array_equal(again.labels, train.labels)
 

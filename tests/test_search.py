@@ -279,17 +279,6 @@ class TestEANSearch:
         assert [(r.scheme, r.reward, r.p_bar) for r in t1] == \
                [(r.scheme, r.reward, r.p_bar) for r in t2]
 
-    def test_unpretrained_proxy_warns(self):
-        class Fake:
-            pretrained = False
-            def __call__(self, s):
-                return 0.5
-
-        controller = make_controller(4, 72)
-        with pytest.warns(UserWarning, match="un-pretrained"):
-            ean_search(Fake(), controller, RewardConfig(0.0, 1.0, 0.0),
-                       3, np.random.default_rng(73))
-
     def test_missing_rnd_pair_rejected(self):
         controller = make_controller(4, 74)
         with pytest.raises(ValueError, match="RNDPair"):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -472,7 +473,7 @@ class TestCheckpoint:
         reloaded = small_net(999)  # different seed: all values overwritten
         load_checkpoint(path, reloaded, "d" * 64)
         assert evaluate_scheme(reloaded, scheme, data) == before
-        assert reloaded.step_count == net.step_count and reloaded.pretrained
+        assert reloaded.step_count == net.step_count
 
     def test_digest_mismatch_refused(self, tmp_path):
         net = small_net(33)
@@ -502,18 +503,43 @@ class TestCheckpoint:
             assert str(info.value).startswith(f"{path}: ")
         for b, (_, p) in zip(before, net.named_parameters()):
             np.testing.assert_array_equal(b, p.value)
-        assert net.step_count == 0 and not net.pretrained
+        assert net.step_count == 0
 
     def test_duplicate_name_refused(self, tmp_path):
         from types import SimpleNamespace
         # same blob count and shapes as a valid file; one name written twice
         pairs = [("block0.conv1.bias" if name == "block0.conv2.bias" else name, p)
                  for name, p in small_net(42).named_parameters()]
-        fake = SimpleNamespace(named_parameters=lambda: pairs, step_count=0, pretrained=False)
+        fake = SimpleNamespace(named_parameters=lambda: pairs, step_count=0)
         path = tmp_path / "dup.ckpt"
         save_checkpoint(path, fake, "e" * 64)
         with pytest.raises(CheckpointError, match="duplicate parameter 'block0.conv1.bias'"):
             load_checkpoint(path, small_net(42), "e" * 64)
+
+    def test_version_1_header_refused(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, small_net(47), "e" * 64)
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = struct.pack("<I", 1)  # the version follows the 8-byte magic
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="unsupported version 1$"):
+            load_checkpoint(path, small_net(47), "e" * 64)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_blob_refused(self, tmp_path, bad):
+        saved = small_net(48)
+        saved.step_count = 7
+        dict(saved.named_parameters())["fc.bias"].value[1] = bad
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, saved, "e" * 64)
+        net = small_net(49)
+        before = [p.value.copy() for _, p in net.named_parameters()]
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path, net, "e" * 64)
+        assert str(info.value) == f"{path}: fc.bias holds a non-finite value"
+        for b, (_, p) in zip(before, net.named_parameters(), strict=True):
+            np.testing.assert_array_equal(b, p.value)
+        assert net.step_count == 0
 
     def test_byte_identical_across_reruns(self, tmp_path):
         data = make_blob_dataset(3, 10, (1, 6, 6), 0.3, np.random.default_rng(35))
@@ -532,16 +558,15 @@ class TestCheckpoint:
            sharing=st.sampled_from(["per-block", "per-stage"]),
            stages=st.lists(st.tuples(st.integers(1, 2), st.sampled_from([2, 4])),
                            min_size=1, max_size=3),
-           seed=st.integers(0, 2 ** 32 - 1), step_count=st.integers(0, 2 ** 64 - 1),
-           pretrained=st.booleans())
-    def test_round_trip_property(self, sam, sharing, stages, seed, step_count, pretrained):
+           seed=st.integers(0, 2 ** 32 - 1), step_count=st.integers(0, 2 ** 64 - 1))
+    def test_round_trip_property(self, sam, sharing, stages, seed, step_count):
         cfg = BackboneConfig(stages=tuple(stages), input_shape=(1, 4, 4), classes=2,
                              sam=sam, sharing=sharing, reduction=2, groups=2)
         net = small_net(seed, cfg)
         rng = np.random.default_rng(seed)
         for _, p in net.named_parameters():
             p.value[...] = rng.standard_normal(p.value.shape)
-        net.step_count, net.pretrained = step_count, pretrained
+        net.step_count = step_count
         other = small_net(seed + 1, cfg)
         with tempfile.TemporaryDirectory() as tmp:
             first, second = os.path.join(tmp, "a.ckpt"), os.path.join(tmp, "b.ckpt")
@@ -554,7 +579,7 @@ class TestCheckpoint:
                                       strict=True):
             assert na == nb
             np.testing.assert_array_equal(pa.value, pb.value)
-        assert (other.step_count, other.pretrained) == (step_count, pretrained)
+        assert other.step_count == step_count
 
 
 # the literal checkpoint layout of a three-block, two-stage net; a change here
@@ -604,8 +629,6 @@ def reference_pretrain(net, train_set, beta, steps, batch_size, opt, lr_drop_ste
         lr = opt.learning_rate * (lr_drop_factor if step >= lr_drop_step else 1.0)
         net.train_step(train_set.images[idx], train_set.labels[idx], scheme,
                        OptimizerConfig(lr, opt.momentum, opt.weight_decay))
-    if steps > 0:
-        net.pretrained = True
 
 
 def reference_fixed(net, train_set, scheme, steps, batch_size, opt, lr_drop_step,
@@ -627,7 +650,7 @@ class TestTrainingLoopPinned:
             assert na == nb
             np.testing.assert_array_equal(pa.value, pb.value)
             np.testing.assert_array_equal(pa.momentum, pb.momentum)
-        assert (a.step_count, a.pretrained) == (b.step_count, b.pretrained)
+        assert a.step_count == b.step_count
         assert a.mask_rng.bit_generator.state == b.mask_rng.bit_generator.state
         assert a.data_rng.bit_generator.state == b.data_rng.bit_generator.state
 
@@ -648,7 +671,6 @@ class TestTrainingLoopPinned:
         train_with_scheme(net, data, scheme, 9, 4, self.OPT, 5, 0.1)
         reference_fixed(ref, data, scheme, 9, 4, self.OPT, 5, 0.1)
         self.assert_same_state(net, ref)
-        assert not net.pretrained
 
 
 class TestStandaloneTraining:
