@@ -165,19 +165,31 @@ def grad_check(model, input, epsilon: float = 1e-5) -> float:
 # batched layer objects (training machinery)
 # ---------------------------------------------------------------------------
 
+# One GEMM per kernel offset, in row-major offset order, accumulated with +=.
+# Each np.dot gets the operands np.tensordot would build, in the same layout,
+# so results equal the tensordot form bit for bit. The kernel slices stay
+# strided views: with one channel a slice is a vector, and BLAS sums a strided
+# vector in another order than a contiguous copy. The transposed views of the
+# input and the dout matrix are taken once per conv.
+
 def _conv_forward(x, kernel, bias, stride, pad):
     n, c_in, h, w = x.shape
     c_out, _, k, _ = kernel.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    if pad:
+        xp = np.zeros((n, c_in, h + 2 * pad, w + 2 * pad))
+        xp[:, :, pad:pad + h, pad:pad + w] = x
+    else:
+        xp = x
     h_out = (h + 2 * pad - k) // stride + 1
     w_out = (w + 2 * pad - k) // stride + 1
-    y = np.zeros((c_out, n, h_out, w_out))
+    xc = xp.transpose(1, 0, 2, 3)
+    y = np.zeros((c_out, n * h_out * w_out))
     for i in range(k):
         for j in range(k):
-            xs = xp[:, :, i:i + stride * (h_out - 1) + 1:stride,
+            xs = xc[:, :, i:i + stride * (h_out - 1) + 1:stride,
                     j:j + stride * (w_out - 1) + 1:stride]
-            y += np.tensordot(kernel[:, :, i, j], xs, axes=([1], [1]))
-    y = np.ascontiguousarray(y.transpose(1, 0, 2, 3))
+            y += np.dot(kernel[:, :, i, j], xs.reshape(c_in, -1))
+    y = np.ascontiguousarray(y.reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3))
     if bias is not None:
         y += bias[None, :, None, None]
     return y, xp
@@ -185,19 +197,23 @@ def _conv_forward(x, kernel, bias, stride, pad):
 
 def _conv_backward(dout, xp, kernel, stride, pad, in_shape):
     _, _, h, w = in_shape
-    _, _, k, _ = kernel.shape
-    h_out, w_out = dout.shape[2], dout.shape[3]
+    c_out, c_in, k, _ = kernel.shape
+    n, _, h_out, w_out = dout.shape
+    d2 = dout.transpose(1, 0, 2, 3).reshape(c_out, -1)
+    xl = xp.transpose(0, 2, 3, 1)
     dk = np.zeros_like(kernel)
-    dxp = np.zeros_like(xp)
+    dxc = np.zeros((c_in, n, xp.shape[2], xp.shape[3]))
     for i in range(k):
         for j in range(k):
             sl_h = slice(i, i + stride * (h_out - 1) + 1, stride)
             sl_w = slice(j, j + stride * (w_out - 1) + 1, stride)
-            dk[:, :, i, j] = np.tensordot(dout, xp[:, :, sl_h, sl_w],
-                                          axes=([0, 2, 3], [0, 2, 3]))
-            dxp[:, :, sl_h, sl_w] += np.tensordot(
-                kernel[:, :, i, j], dout, axes=([0], [1])).transpose(1, 0, 2, 3)
+            dk[:, :, i, j] = np.dot(d2, xl[:, sl_h, sl_w].reshape(-1, c_in))
+            dxc[:, :, sl_h, sl_w] += np.dot(kernel[:, :, i, j].T, d2).reshape(
+                c_in, n, h_out, w_out)
     db = dout.sum(axis=(0, 2, 3))
+    # dx stays a view into the padded gradient: a reduction over it (the next
+    # conv's db) sums in an order that depends on this layout
+    dxp = np.ascontiguousarray(dxc.transpose(1, 0, 2, 3))
     dx = dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
     return dx, dk, db
 

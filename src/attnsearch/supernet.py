@@ -232,16 +232,20 @@ class SupernetState:
                    clip_norm: float | None = 10.0) -> float:
         # bounded loss gradients still amplify through a deep no-norm residual
         # tower; the global-norm clip keeps rare confident-wrong batches from
-        # blowing up training
-        loss = self.loss_and_grads(x, y, scheme)
-        active = self.active_parameters(scheme)
-        if clip_norm is not None:
+        # blowing up training. A step that overflows anyway is refused, so
+        # numpy's warnings are silenced rather than printed.
+        with np.errstate(all="ignore"):
+            loss = self.loss_and_grads(x, y, scheme)
+            active = self.active_parameters(scheme)
             total = np.sqrt(sum(float((p.grad ** 2).sum()) for p in active))
-            if total > clip_norm:
+            if not (np.isfinite(loss) and np.isfinite(total)):
+                raise ValueError(f"training diverged at step {self.step_count + 1}: loss "
+                                 f"{loss:.4g}, global gradient norm {total:.4g}")
+            if clip_norm is not None and total > clip_norm:
                 scale = clip_norm / total
                 for p in active:
                     p.grad *= scale
-        sgd_momentum_step(active, opt)
+            sgd_momentum_step(active, opt)
         self.step_count += 1
         return loss
 

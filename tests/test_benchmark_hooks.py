@@ -10,6 +10,8 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -64,3 +66,24 @@ def test_checkpoint_header_reads_what_save_checkpoint_writes(tmp_path):
     header = load_perfbench("run").checkpoint_header(str(path))
     assert sys.path == path_before
     assert header == ("ab" * 32, 2 ** 40 + 3)
+
+
+def test_conv_arguments_the_tracer_unpacks(monkeypatch):
+    """The tracer reads the conv kernels' arguments by position; those of one
+    real `Conv2d` forward and backward must cost that conv's MACs."""
+    from attnsearch import nncore
+    tracer = load_perfbench("tracer")
+    seen = {}
+    for name in ("_conv_forward", "_conv_backward"):
+        def spy(*args, _name=name, _kernel=getattr(nncore, name), **kwargs):
+            seen[_name] = args, kwargs
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(nncore, name, spy)
+    rng = np.random.default_rng(0)
+    conv = nncore.Conv2d(3, 5, 3, 2, 1, rng)
+    y = conv.forward(rng.standard_normal((2, 3, 7, 6)), train=True)
+    conv.backward(rng.standard_normal(y.shape))
+    macs = 2 * 5 * 4 * 3 * 3 * 3 * 3  # n c_out h_out w_out c_in k k
+    _, fwd_macs, _ = tracer.conv_fwd_cost(tracer._conv_fwd_attrs(*seen["_conv_forward"]))
+    _, bwd_macs, _ = tracer.conv_bwd_cost(tracer._conv_bwd_attrs(*seen["_conv_backward"]))
+    assert (fwd_macs, bwd_macs) == (macs, 2 * macs)

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import struct
 import warnings
 
@@ -455,6 +456,20 @@ class TestErrors:
             assert capsys.readouterr().err == \
                 f"error: {ckpt}: fc.bias holds a non-finite value\n"
             assert not (tmp_path / "out").exists()
+
+    def test_divergent_pretraining_exits_1_with_one_line(self, tmp_path, capsys):
+        cfg = dict(TINY, output_dir=str(tmp_path / "o"))
+        cfg["supernet"] = dict(TINY["supernet"], learning_rate=1e6, steps=30)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("pretrain", "--config", path) == 1
+        assert not caught, [str(w.message) for w in caught]
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: training diverged at step \d+: loss \S+, "
+                            r"global gradient norm \S+\n", err), err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_json_constants_exit_1_with_one_line(self, tmp_path, capsys, token):

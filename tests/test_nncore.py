@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from attnsearch import nncore
 from attnsearch.nncore import (Conv2d, Dense, GlobalAvgPool, OptimizerConfig,
                                Parameter, ReLU, Sequential, Tanh, conv2d, dense,
                                global_avg_pool, grad_check, sgd_momentum_step,
@@ -27,6 +30,45 @@ def conv_loop_oracle(x, k, stride, pad):
             acc += k[o, c, a, b] * xp[c, i * stride + a, j * stride + b]
         out[o, i, j] = acc
     return out
+
+
+def tensordot_conv_forward(x, kernel, bias, stride, pad):
+    """The batched forward kernel in its former `np.tensordot` form."""
+    n, c_in, h, w = x.shape
+    c_out, _, k, _ = kernel.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    h_out = (h + 2 * pad - k) // stride + 1
+    w_out = (w + 2 * pad - k) // stride + 1
+    y = np.zeros((c_out, n, h_out, w_out))
+    for i in range(k):
+        for j in range(k):
+            xs = xp[:, :, i:i + stride * (h_out - 1) + 1:stride,
+                    j:j + stride * (w_out - 1) + 1:stride]
+            y += np.tensordot(kernel[:, :, i, j], xs, axes=([1], [1]))
+    y = np.ascontiguousarray(y.transpose(1, 0, 2, 3))
+    if bias is not None:
+        y += bias[None, :, None, None]
+    return y, xp
+
+
+def tensordot_conv_backward(dout, xp, kernel, stride, pad, in_shape):
+    """The batched backward kernel in its former `np.tensordot` form."""
+    _, _, h, w = in_shape
+    _, _, k, _ = kernel.shape
+    h_out, w_out = dout.shape[2], dout.shape[3]
+    dk = np.zeros_like(kernel)
+    dxp = np.zeros_like(xp)
+    for i in range(k):
+        for j in range(k):
+            sl_h = slice(i, i + stride * (h_out - 1) + 1, stride)
+            sl_w = slice(j, j + stride * (w_out - 1) + 1, stride)
+            dk[:, :, i, j] = np.tensordot(dout, xp[:, :, sl_h, sl_w],
+                                          axes=([0, 2, 3], [0, 2, 3]))
+            dxp[:, :, sl_h, sl_w] += np.tensordot(
+                kernel[:, :, i, j], dout, axes=([0], [1])).transpose(1, 0, 2, 3)
+    db = dout.sum(axis=(0, 2, 3))
+    dx = dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
+    return dx, dk, db
 
 
 class TestConv2d:
@@ -69,6 +111,35 @@ class TestConv2d:
         lhs = conv2d(a * x1 + b * x2, k, 1, 1)
         rhs = a * conv2d(x1, k, 1, 1) + b * conv2d(x2, k, 1, 1)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+class TestConvKernelsBitIdentical:
+    """The per-offset `np.dot` kernels do the tensordot form's arithmetic in
+    its order, so every output equals it exactly, not just closely."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(n=st.integers(1, 6), c_in=st.integers(1, 12), c_out=st.integers(1, 12),
+           h=st.integers(1, 10), w=st.integers(1, 10), stride=st.sampled_from([1, 2]),
+           pad=st.sampled_from([0, 1]), k=st.sampled_from([1, 3]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_tensordot_form(self, n, c_in, c_out, h, w, stride, pad, k, seed):
+        assume(min(h, w) + 2 * pad >= k)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c_in, h, w))
+        kernel = rng.standard_normal((c_out, c_in, k, k))
+        bias = rng.standard_normal(c_out)
+        y, xp = nncore._conv_forward(x, kernel, bias, stride, pad)
+        y_ref, xp_ref = tensordot_conv_forward(x, kernel, bias, stride, pad)
+        assert np.array_equal(y, y_ref) and np.array_equal(xp, xp_ref)
+        dout = rng.standard_normal(y.shape)
+        got = nncore._conv_backward(dout, xp, kernel, stride, pad, x.shape)
+        ref = tensordot_conv_backward(dout, xp_ref, kernel, stride, pad, x.shape)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+        # a later reduction over dx (the next conv's db) sums in an order
+        # set by its memory layout; a length-1 axis has no order
+        layout = [[s for s, d in zip(dx.strides, dx.shape) if d > 1] for dx in (got[0], ref[0])]
+        assert layout[0] == layout[1]
 
 
 class TestDense:
