@@ -107,11 +107,12 @@ class SGEModule(_AttentionModule):
     group's channels.
     """
 
-    def __init__(self, channels: int, groups: int, epsilon: float = 1e-5) -> None:
+    epsilon = 1e-5
+
+    def __init__(self, channels: int, groups: int) -> None:
         self.slices = channel_groups(channels, groups)
         self.channels = channels
         self.groups = groups
-        self.epsilon = epsilon
         self.gamma = Parameter(np.ones(len(self.slices)))
         self.beta = Parameter(np.zeros(len(self.slices)))
         self._cache = []

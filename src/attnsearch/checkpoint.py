@@ -24,16 +24,18 @@ class CheckpointError(Exception):
 
 @contextlib.contextmanager
 def open_atomic(path, mode: str = "w"):
-    """Write `<path>.tmp`, then move it onto `path` in one `os.replace`.
+    """Write a temp file of this writer's own (a random name, created
+    exclusively) beside `path`, then move it onto `path` in one `os.replace`.
 
     The directory `path` goes into is created here, so a command that fails
     before its first write leaves nothing behind. If the block raises, the
     temp file is removed and an existing `path` keeps its old bytes.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.tmp"
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, mode.replace("w", "x"), encoding=None if "b" in mode else "utf-8")
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -38,7 +38,6 @@ class ControllerState:
 
     def __init__(self, m: int, hidden: int = 64, lr: float = 5e-2,
                  momentum: float = 0.9, ppo_period: int = 10,
-                 buffer_capacity: int | None = None,
                  ratio_bounds: tuple[float, float] = (0.1, 10.0), *,
                  rng: np.random.Generator) -> None:
         lo, hi = ratio_bounds
@@ -52,8 +51,7 @@ class ControllerState:
         self.opt = OptimizerConfig(lr, momentum)
         self.ppo_period = ppo_period
         self.ratio_bounds = ratio_bounds
-        self.buffer: deque[RolloutTuple] = deque(
-            maxlen=10 * ppo_period if buffer_capacity is None else buffer_capacity)
+        self.buffer: deque[RolloutTuple] = deque(maxlen=10 * ppo_period)
         self.update_count = 0
 
     def parameters(self) -> list[Parameter]:
@@ -103,13 +101,6 @@ def _backprop_from_output(state: ControllerState, hidden: np.ndarray, dz2: np.nd
     return [dh * (1.0 - hidden ** 2), np.outer(dz2, hidden), dz2]
 
 
-def reinforce_objective(state: ControllerState, scheme: ConnectionScheme,
-                        reward: float) -> float:
-    """reward * sum_i log of the realized-bit probability under current params."""
-    p = controller_forward(state)
-    return reward * float(np.log(realized_probabilities(p, scheme)).sum())
-
-
 def reinforce_gradient(state: ControllerState, scheme: ConnectionScheme,
                        reward: float):
     """Ascent gradient of the score-weighted log probability: the replay
@@ -132,21 +123,10 @@ def reinforce_update(state: ControllerState, scheme: ConnectionScheme,
     state.update_count += 1
 
 
-def ppo_objective(state: ControllerState, tuples) -> float:
-    """Mean over tuples of reward * sum_i clip(ratio_i, *ratio_bounds), the replay
-    surrogate whose gradient is the importance-weighted update direction."""
-    p = controller_forward(state)
-    total = 0.0
-    for t in tuples:
-        p_old = realized_probabilities(np.clip(t.probs, PROB_FLOOR, 1 - PROB_FLOOR), t.scheme)
-        ratio = np.clip(realized_probabilities(p, t.scheme) / p_old, *state.ratio_bounds)
-        total += t.reward * float(ratio.sum())
-    return total / len(tuples)
-
-
 def ppo_gradient(state: ControllerState, tuples):
-    """Ascent gradient of `ppo_objective`: d(ratio_i)/dz2_i = ratio_i * (a_i - p_i);
-    bits pinned by the probability clamp or the ratio bounds contribute zero."""
+    """Ascent gradient of the tuples' mean of reward * sum_i clip(ratio_i,
+    *ratio_bounds): d(ratio_i)/dz2_i = ratio_i * (a_i - p_i); bits pinned by
+    the probability clamp or the ratio bounds contribute zero."""
     hidden, raw, clipped = state._forward()
     inside = (raw > PROB_FLOOR) & (raw < 1.0 - PROB_FLOOR)
     lo, hi = state.ratio_bounds

@@ -94,14 +94,6 @@ def split_train_val(data: Dataset, val_fraction: float,
             Dataset(data.images[val_mask], data.labels[val_mask]))
 
 
-def save_csv(path, data: Dataset) -> None:
-    """One row per sample: label first, then row-major pixels."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for img, label in zip(data.images, data.labels):
-            pixels = ",".join(f"{v:.12g}" for v in img.reshape(-1))
-            fh.write(f"{int(label)},{pixels}\n")
-
-
 def load_csv(path, shape: tuple[int, int, int]) -> Dataset:
     images, labels = [], []
     size = int(np.prod(shape))

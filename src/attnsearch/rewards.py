@@ -52,16 +52,15 @@ class RNDPair:
 
     def __init__(self, m: int, rng: np.random.Generator,
                  target_hidden: int = 32, predictor_hidden: int = 64,
-                 out_dim: int = 8, lr: float = 1e-2,
-                 init_scale: float = 0.5) -> None:
+                 lr: float = 1e-2, init_scale: float = 0.5) -> None:
         # lr must stay under 2/max||hidden||^2 or the squared loss diverges;
         # init_scale keeps raw bonuses comparable to accuracy rewards so the
         # novelty term differentiates schemes instead of inflating every G
         self.m = m
         self.target = Sequential(Dense(m, target_hidden, rng), Tanh(),
-                                 Dense(target_hidden, out_dim, rng))
+                                 Dense(target_hidden, 8, rng))
         self.predictor = Sequential(Dense(m, predictor_hidden, rng), Tanh(),
-                                    Dense(predictor_hidden, out_dim, rng))
+                                    Dense(predictor_hidden, 8, rng))
         self.target.layers[2].weight.value *= init_scale
         self.predictor.layers[2].weight.value *= init_scale
         self.opt = OptimizerConfig(lr, 0.0, 0.0)

@@ -48,35 +48,17 @@ class SyntheticLandscape:
     single bit dominates the score; outputs land strictly inside (0,1).
     """
 
-    def __init__(self, m: int, seed: int, linear_scale: float = 0.3,
-                 pair_scale: float = 1.6) -> None:
+    def __init__(self, m: int, seed: int) -> None:
         rng = named_rng(seed, "synthetic-landscape")
         self.m = m
-        self.linear = rng.uniform(-1.0, 1.0, m) * linear_scale / np.sqrt(m)
-        couplings = rng.uniform(-1.0, 1.0, (m, m)) * pair_scale / m
+        self.linear = rng.uniform(-1.0, 1.0, m) * 0.3 / np.sqrt(m)
+        couplings = rng.uniform(-1.0, 1.0, (m, m)) * 1.6 / m
         self.couplings = np.triu(couplings, 1)
 
     def __call__(self, scheme: ConnectionScheme) -> float:
         x = scheme.bits - 0.5
         s = float(self.linear @ x + x @ self.couplings @ x)
         return 0.5 + 0.5 * np.tanh(s)
-
-
-class PeakedLandscape:
-    """One strongly preferred scheme; score decays with Hamming distance."""
-
-    def __init__(self, m: int, seed: int, floor: float = 0.1,
-                 height: float = 0.9, tau: float = 1.0) -> None:
-        rng = named_rng(seed, "peaked-landscape")
-        self.m = m
-        self.peak = sample_bernoulli_scheme(0.5, m, rng)
-        self.floor = floor
-        self.height = height
-        self.tau = tau
-
-    def __call__(self, scheme: ConnectionScheme) -> float:
-        dist = int(np.sum(scheme.bits != self.peak.bits))
-        return self.floor + self.height * float(np.exp(-dist / self.tau))
 
 
 # ---------------------------------------------------------------------------

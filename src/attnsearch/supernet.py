@@ -304,12 +304,11 @@ def sample_bernoulli_scheme(beta: float, m: int, rng: np.random.Generator) -> Co
 
 
 def _train_loop(net: SupernetState, train_set: Dataset, next_scheme, steps: int,
-                batch_size: int, opt: OptimizerConfig | None,
+                batch_size: int, opt: OptimizerConfig,
                 lr_drop_step: int | None, lr_drop_factor: float) -> None:
     """`steps` SGD steps; each draws its scheme from `next_scheme()`, then its batch."""
     if len(train_set) == 0:
         raise ValueError("training set is empty")
-    opt = opt or OptimizerConfig(0.1, 0.9, 1e-4)
     n = len(train_set)
     for step in range(int(steps)):
         scheme = next_scheme()
@@ -322,8 +321,7 @@ def _train_loop(net: SupernetState, train_set: Dataset, next_scheme, steps: int,
 
 
 def pretrain_supernet(net: SupernetState, train_set: Dataset, beta: float, steps: int,
-                      batch_size: int = 16,
-                      opt: OptimizerConfig | None = None,
+                      batch_size: int, opt: OptimizerConfig,
                       lr_drop_step: int | None = None,
                       lr_drop_factor: float = 0.1) -> SupernetState:
     """Masked pre-training: every step gates a fresh random scheme.
@@ -339,8 +337,7 @@ def pretrain_supernet(net: SupernetState, train_set: Dataset, beta: float, steps
 
 
 def train_with_scheme(net: SupernetState, train_set: Dataset, scheme: ConnectionScheme,
-                      steps: int, batch_size: int = 16,
-                      opt: OptimizerConfig | None = None,
+                      steps: int, batch_size: int, opt: OptimizerConfig,
                       lr_drop_step: int | None = None,
                       lr_drop_factor: float = 0.1) -> SupernetState:
     """Train under one fixed scheme (standalone training of a subnetwork)."""

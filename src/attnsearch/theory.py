@@ -83,7 +83,7 @@ def chi_square_tail(dof: int, threshold: float) -> float:
 
 
 def thm1_width_bound(d: int, epsilon: float, delta: float,
-                     dof_convention: str = "literal") -> int:
+                     dof_convention: str) -> int:
     """Smallest hidden width m with m > ln(delta)/ln(tail probability).
 
     `dof_convention` picks the chi-square degrees of freedom for a row's
@@ -152,8 +152,7 @@ _MC_BLOCK_ROWS = 8192
 
 
 def thm1_monte_carlo(d: int, epsilon: float, delta: float, trials: int,
-                     rng: np.random.Generator,
-                     dof_convention: str = "corrected",
+                     rng: np.random.Generator, dof_convention: str,
                      m: int | None = None) -> dict:
     """Empirical failure rate of the row-zeroing guarantee at the bound width.
 
@@ -214,9 +213,8 @@ class ResNetChain:
     layers: list[ResLayer] = field(default_factory=list)
 
     @classmethod
-    def random(cls, dim: int, widths, rng: np.random.Generator,
-               scale: float | None = None) -> "ResNetChain":
-        scale = scale if scale is not None else 1.0 / np.sqrt(dim)
+    def random(cls, dim: int, widths, rng: np.random.Generator) -> "ResNetChain":
+        scale = 1.0 / np.sqrt(dim)
         layers = [ResLayer(rng.standard_normal((w, dim)) * scale,
                            rng.standard_normal(w) * scale,
                            rng.standard_normal((dim, w)) * scale)

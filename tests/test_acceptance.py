@@ -15,13 +15,11 @@ from attnsearch.cli import main as cli_main
 from attnsearch.config import ExperimentConfig
 from attnsearch.controller import (ControllerState, RolloutTuple,
                                    controller_forward, ppo_gradient,
-                                   ppo_objective, reinforce_gradient,
-                                   reinforce_objective, sample_and_score)
+                                   reinforce_gradient, sample_and_score)
 from attnsearch.nncore import OptimizerConfig
 from attnsearch.rewards import RewardConfig, RNDPair, sparsity_reward
-from attnsearch.search import (PeakedLandscape, SyntheticLandscape,
-                               all_schemes, ean_search, exhaustive_search,
-                               ga_search, sample_fixed_ones)
+from attnsearch.search import (SyntheticLandscape, all_schemes, ean_search,
+                               exhaustive_search, ga_search, sample_fixed_ones)
 from attnsearch.stats import pearson, pearson_pvalue_one_sided
 from attnsearch.supernet import (ConnectionScheme, SupernetState,
                                  evaluate_scheme, pretrain_supernet,
@@ -29,6 +27,7 @@ from attnsearch.supernet import (ConnectionScheme, SupernetState,
 from attnsearch.theory import (ResNetChain, Thm1Instance, embed_as_subnetwork,
                                extend_network, min_row_zeroing_error,
                                thm1_monte_carlo)
+from oracles import PeakedLandscape, ppo_objective, reinforce_objective
 
 ITER0_SCHEME_54 = "000110000001111101110010000001000110111110110110010011"
 

@@ -7,6 +7,9 @@ called: it patches modules for the whole process."""
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -87,3 +90,36 @@ def test_conv_arguments_the_tracer_unpacks(monkeypatch):
     _, fwd_macs, _ = tracer.conv_fwd_cost(tracer._conv_fwd_attrs(*seen["_conv_forward"]))
     _, bwd_macs, _ = tracer.conv_bwd_cost(tracer._conv_bwd_attrs(*seen["_conv_backward"]))
     assert (fwd_macs, bwd_macs) == (macs, 2 * macs)
+
+
+def test_traced_ground_truth_evaluations_match_the_scores_delivered(tmp_path):
+    """The rules the benchmark's traced `ground_truth` run enforces, on a tiny
+    config: every `supernet.evaluate` span runs the full backbone's conv MACs,
+    and there is one such span per score the four commands deliver."""
+    from attnsearch.cli import main
+    run, tracer = load_perfbench("run"), load_perfbench("tracer")
+    cfg = run.make_config(1)
+    cfg["backbone"].update(stages=[[1, 2], [1, 2], [1, 4]], input_shape=[1, 6, 6], reduction=2)
+    cfg["supernet"]["steps"] = 3
+    cfg["study"]["samples_per_ratio"] = 2  # below each bucket's size, so sampled
+    cfg_path, out, ckpt = tmp_path / "config.json", tmp_path / "out", tmp_path / "net.ckpt"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["pretrain", "--config", str(cfg_path), "--output-dir", str(out),
+                 "--out", str(ckpt)]) == 0
+    digest = run.checkpoint_header(str(ckpt))[0]
+    env = dict(os.environ, PYTHONPATH=str(PERFBENCH.parent / "src"), **run.THREADS)
+    totals, delivered = tracer.LayerTotals(), 0
+    for i, (label, args) in enumerate(run.commands("ground_truth", str(cfg_path), str(out),
+                                                   str(ckpt))):
+        spans = tmp_path / f"spans{i}.json"
+        proc = subprocess.run([sys.executable, "-B", str(PERFBENCH / "tracer.py"), str(spans),
+                               label, "--", *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        totals.add_file(str(spans))
+        units, problems = run.check_outputs(label, str(out), cfg, digest)
+        assert problems == []
+        delivered += units
+    assert totals.mac_mismatches == []
+    assert delivered == 8 + 3 * 2 + 1 + 1
+    assert totals.evaluations == delivered

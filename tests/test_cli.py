@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import struct
 import warnings
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attnsearch.checkpoint import open_atomic
 from attnsearch.cli import main, read_csv, write_csv
 from attnsearch.config import ExperimentConfig
 from attnsearch.search import SupernetEvaluator
@@ -326,6 +328,31 @@ class TestAtomicWrites:
             write_csv(path, "e" * 64, ["a"], rows())
         assert path.read_bytes() == before
         assert [p.name for p in path.parent.iterdir()] == ["rows.csv"]
+
+    def test_overlapping_writers_each_keep_a_file_of_their_own(self, tmp_path):
+        # A starts, B writes the whole file, then A writes more and finishes
+        path = tmp_path / "out.csv"
+        writer_a = open_atomic(str(path))
+        fa = writer_a.__enter__()
+        fa.write("A" * 10)
+        fa.flush()
+        with open_atomic(str(path)) as fb:
+            fb.write("BBBB")
+        fa.write("AAA")
+        fa.flush()
+        assert path.read_bytes() == b"BBBB"
+        writer_a.__exit__(None, None, None)
+        assert path.read_bytes() == b"A" * 13
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_written_file_mode_follows_the_umask(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            with open_atomic(str(tmp_path / "out.csv")) as fh:
+                fh.write("x")
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "out.csv").stat().st_mode & 0o777 == 0o640
 
 
 class TestErrors:

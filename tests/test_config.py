@@ -9,8 +9,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from attnsearch.config import ExperimentConfig
-from attnsearch.data import load_csv, save_csv
+from attnsearch.data import load_csv
 from attnsearch.rngstreams import named_rng
+
+
+def save_csv(path, data) -> None:
+    """One row per sample: label first, then row-major pixels."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for img, label in zip(data.images, data.labels):
+            pixels = ",".join(f"{v:.12g}" for v in img.reshape(-1))
+            fh.write(f"{int(label)},{pixels}\n")
 
 
 def test_defaults_resolve():

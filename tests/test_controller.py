@@ -8,11 +8,11 @@ import pytest
 
 from attnsearch.controller import (ControllerState, RolloutTuple,
                                    controller_forward, mean_prob, ppo_gradient,
-                                   ppo_objective, ppo_update,
-                                   realized_probabilities, reinforce_gradient,
-                                   reinforce_objective, reinforce_update,
+                                   ppo_update, realized_probabilities,
+                                   reinforce_gradient, reinforce_update,
                                    sample_and_score)
 from attnsearch.supernet import ConnectionScheme
+from oracles import ppo_objective, reinforce_objective
 
 # critical value of a chi-square(7) at alpha = 0.01
 CHI2_7_99 = 18.475
@@ -226,7 +226,7 @@ class TestPPO:
             np.testing.assert_array_equal(p.value, b)
 
     def test_buffer_capacity_is_fifo(self):
-        st = fresh_state(ppo_period=3, buffer_capacity=None)
+        st = fresh_state(ppo_period=3)
         assert st.buffer.maxlen == 30
         for i in range(35):
             st.buffer.append(i)

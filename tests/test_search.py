@@ -7,12 +7,12 @@ import pytest
 
 from attnsearch.controller import ControllerState, controller_forward
 from attnsearch.rewards import RewardConfig, RNDPair, combined_reward, sparsity_reward
-from attnsearch.search import (PeakedLandscape, SyntheticLandscape, all_schemes,
-                               classify_ticket, ean_search, exhaustive_search,
-                               ga_search, hsp_scheme, l1_prune_baseline,
-                               random_ratio_study)
+from attnsearch.search import (SyntheticLandscape, all_schemes, classify_ticket,
+                               ean_search, exhaustive_search, ga_search,
+                               hsp_scheme, l1_prune_baseline, random_ratio_study)
 from attnsearch.supernet import (BackboneConfig, ConnectionScheme, SupernetState,
                                  count_params, flop_increment_pct)
+from oracles import PeakedLandscape
 
 
 def make_controller(m, seed, **kw):

@@ -204,7 +204,7 @@ class TestPretraining:
         net = small_net(14)
         empty = Dataset(np.zeros((0, 1, 6, 6)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError, match="empty"):
-            pretrain_supernet(net, empty, 0.5, 5)
+            pretrain_supernet(net, empty, 0.5, 5, 4, OptimizerConfig(0.02, 0.9, 1e-3))
 
     def test_untrained_accuracy_is_chance_level(self):
         rng = np.random.default_rng(15)

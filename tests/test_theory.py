@@ -79,10 +79,10 @@ class TestWidthBound:
         assert thm1_width_bound(2, 1.0, 0.05, "literal") == 3
 
     def test_delta_near_one_needs_single_neuron(self):
-        assert thm1_width_bound(4, 1.0, 1 - 1e-12) == 1
+        assert thm1_width_bound(4, 1.0, 1 - 1e-12, "literal") == 1
 
     def test_nonincreasing_in_epsilon(self):
-        bounds = [thm1_width_bound(6, eps, 0.1) for eps in (0.5, 1.0, 2.0, 4.0)]
+        bounds = [thm1_width_bound(6, eps, 0.1, "literal") for eps in (0.5, 1.0, 2.0, 4.0)]
         assert all(a >= b for a, b in zip(bounds, bounds[1:]))
 
     def test_strict_inequality_on_integer_ratio(self):
@@ -98,11 +98,11 @@ class TestWidthBound:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            thm1_width_bound(1, 1.0, 0.1)
+            thm1_width_bound(1, 1.0, 0.1, "literal")
         with pytest.raises(ValueError):
-            thm1_width_bound(4, 1.0, 1.5)
+            thm1_width_bound(4, 1.0, 1.5, "literal")
         with pytest.raises(ValueError):
-            thm1_width_bound(4, -1.0, 0.1)
+            thm1_width_bound(4, -1.0, 0.1, "literal")
 
 
 def zeroing_error_bruteforce(inst, j):
@@ -183,7 +183,7 @@ class TestMonteCarlo:
 
     def test_needs_enough_trials(self):
         with pytest.raises(ValueError):
-            thm1_monte_carlo(4, 1.0, 0.1, 50, np.random.default_rng(10))
+            thm1_monte_carlo(4, 1.0, 0.1, 50, np.random.default_rng(10), "corrected")
 
     def test_row_blocks_match_one_draw_per_trial(self):
         # 20000 rows span several blocks and end on a partial one
