@@ -50,7 +50,7 @@ sparse = sorted((s for s in proxy if s.ones_count <= m // 2),
 print("\nscheme    ones  proxy  standalone  extra-params  flops(+%)  verdict")
 for s in sparse:
     acc = standalone(s)
-    verdict = classify_ticket(acc, acc_full, acc_plain, s.ones_count, m, s)
+    verdict = classify_ticket(acc, acc_full, acc_plain, s.ones_count, m)
     tag = "TICKET" if verdict.is_ticket else ("harmful" if verdict.is_harmful else "-")
     extra = count_params(cfg.backbone, s)[1]
     print(f"{s.to_string()}  {s.ones_count:4d}  {proxy[s]:.3f}  {acc:10.3f}"

@@ -88,7 +88,8 @@ def load_checkpoint(path, net, expected_digest: str) -> None:
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
         (dlen,) = unpack("<H")
-        digest = read(dlen).decode("ascii", "replace")
+        # escaped, so that a damaged digest is still reported on one line
+        digest = read(dlen).decode("ascii", "replace").encode("unicode_escape").decode()
         if digest != expected_digest:
             raise CheckpointError(
                 f"{path}: config digest mismatch (file {digest[:12]}…, expected {expected_digest[:12]}…)")

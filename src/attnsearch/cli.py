@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -56,8 +57,8 @@ def write_csv(path, digest: str, columns, rows) -> None:
 
 
 def read_csv(path, required=()) -> tuple[str, list[dict]]:
-    """(digest, rows as dicts), `required` columns read as numbers. A missing
-    column, a wrong field count or a non-number is refused with its location."""
+    """(digest, rows as dicts), `required` columns read as finite numbers. A missing
+    column, a wrong field count or a non-finite number is refused with its location."""
     digest = ""
     lines = []  # (line number, fields), the header first
     with open(path, "r", encoding="utf-8") as fh:
@@ -77,7 +78,11 @@ def read_csv(path, required=()) -> tuple[str, list[dict]]:
             if len(fields) != len(columns):
                 raise ValueError(f"expected {len(columns)} fields, got {len(fields)}")
             row = dict(zip(columns, fields))
-            row.update((name, float(row[name])) for name in required)
+            for name in required:
+                value = float(row[name])
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} {row[name]!r} is not a finite number")
+                row[name] = value
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from None
         rows.append(row)
@@ -88,16 +93,13 @@ def write_json(path, digest: str, payload: dict) -> None:
     body = {"config_digest": digest}
     body.update(payload)
     with open_atomic(path) as fh:
-        json.dump(body, fh, sort_keys=True, indent=2)
+        json.dump(body, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
 def _write_timing(outdir, name: str, digest: str, elapsed: float, **counts) -> None:
-    path = os.path.join(outdir, f"{name}_timing.json")
-    with open_atomic(path) as fh:
-        json.dump({"config_digest": digest, "elapsed_seconds": elapsed, **counts}, fh,
-                  indent=2)
-        fh.write("\n")
+    write_json(os.path.join(outdir, f"{name}_timing.json"), digest,
+               {"elapsed_seconds": elapsed, **counts})
 
 
 def _prepare(args) -> tuple[ExperimentConfig, str, str]:
@@ -110,13 +112,13 @@ def _evaluator(cfg: ExperimentConfig, args):
     weight-shared backbone proxy restored from a checkpoint."""
     if args.backend == "synthetic":
         return cfg.build_landscape()
-    if not args.checkpoint:
-        raise _UsageError("backend 'supernet' needs --checkpoint")
     return _supernet_evaluator(cfg, args.checkpoint)
 
 
 def _supernet_evaluator(cfg: ExperimentConfig, checkpoint) -> SupernetEvaluator:
     """The backbone restored from `checkpoint`, scored on the validation split."""
+    if not checkpoint:
+        raise _UsageError("--checkpoint is required to read the supernet")
     net = cfg.build_supernet()
     load_checkpoint(checkpoint, net, cfg.digest())
     _, val = cfg.build_dataset()
@@ -234,8 +236,6 @@ def cmd_baseline(args) -> int:
                        scheme=scheme.to_string(), fitness=fit,
                        score=float(evaluator(scheme)))
     else:  # l1
-        if not args.checkpoint:
-            raise _UsageError("baseline l1 needs --checkpoint")
         evaluator = _supernet_evaluator(cfg, args.checkpoint)
         scheme = l1_prune_baseline(evaluator.net, args.keep_ratio)
         payload.update(keep_ratio=args.keep_ratio, scheme=scheme.to_string(),
@@ -276,7 +276,7 @@ def cmd_verify_thm1(args) -> int:
 
 
 def cmd_extend_demo(args) -> int:
-    for flag in ("dim", "depth", "width", "probes"):
+    for flag in ("dim", "depth", "width", "extra", "probes"):
         if getattr(args, flag) < 1:
             raise _UsageError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     cfg, outdir, digest = _prepare(args)

@@ -144,11 +144,9 @@ def ppo_gradient(state: ControllerState, tuples):
     return _backprop_from_output(state, hidden, dz2)
 
 
-def ppo_update(state: ControllerState, tuples=None) -> None:
+def ppo_update(state: ControllerState) -> None:
     """Importance-weighted replay step over the rollout buffer."""
-    if tuples is None:
-        tuples = list(state.buffer)
-    if not tuples:
+    if not state.buffer:
         warnings.warn("replay buffer is empty; skipping update", stacklevel=2)
         return
-    _ascend(state, ppo_gradient(state, tuples))
+    _ascend(state, ppo_gradient(state, state.buffer))

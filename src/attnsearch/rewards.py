@@ -56,7 +56,6 @@ class RNDPair:
         # lr must stay under 2/max||hidden||^2 or the squared loss diverges;
         # init_scale keeps raw bonuses comparable to accuracy rewards so the
         # novelty term differentiates schemes instead of inflating every G
-        self.m = m
         self.target = Sequential(Dense(m, target_hidden, rng), Tanh(),
                                  Dense(target_hidden, 8, rng))
         self.predictor = Sequential(Dense(m, predictor_hidden, rng), Tanh(),

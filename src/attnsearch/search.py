@@ -10,7 +10,7 @@ deterministic synthetic landscape for fast, exact searcher testing.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -50,7 +50,6 @@ class SyntheticLandscape:
 
     def __init__(self, m: int, seed: int) -> None:
         rng = named_rng(seed, "synthetic-landscape")
-        self.m = m
         self.linear = rng.uniform(-1.0, 1.0, m) * 0.3 / np.sqrt(m)
         couplings = rng.uniform(-1.0, 1.0, (m, m)) * 1.6 / m
         self.couplings = np.triu(couplings, 1)
@@ -67,12 +66,8 @@ class SyntheticLandscape:
 
 @dataclass
 class TicketVerdict:
-    standalone_accuracy: float
-    full_accuracy: float
-    original_accuracy: float
     is_ticket: bool
     is_harmful: bool
-    scheme: ConnectionScheme | None = None
 
 
 @dataclass
@@ -89,26 +84,19 @@ class TraceRow:
 @dataclass
 class SearchResult:
     best: list  # [(ConnectionScheme, reward)], highest reward first, up to 3
-    trace: list[TraceRow] = field(default_factory=list)
+    trace: list[TraceRow]
 
 
 def classify_ticket(scheme_accuracy: float, full_accuracy: float,
-                    original_accuracy: float, ones_count: int, m: int,
-                    scheme: ConnectionScheme | None = None) -> TicketVerdict:
+                    original_accuracy: float, ones_count: int, m: int) -> TicketVerdict:
     """A ticket matches the all-connected accuracy with strictly fewer
     connections; a harmful scheme falls below the plain backbone."""
     for name, acc in (("scheme", scheme_accuracy), ("full", full_accuracy),
                       ("original", original_accuracy)):
         if not 0.0 <= acc <= 1.0:
             raise ValueError(f"{name} accuracy {acc} outside [0,1]")
-    return TicketVerdict(
-        standalone_accuracy=scheme_accuracy,
-        full_accuracy=full_accuracy,
-        original_accuracy=original_accuracy,
-        is_ticket=bool(scheme_accuracy >= full_accuracy and ones_count < m),
-        is_harmful=bool(scheme_accuracy < original_accuracy),
-        scheme=scheme,
-    )
+    return TicketVerdict(is_ticket=bool(scheme_accuracy >= full_accuracy and ones_count < m),
+                         is_harmful=bool(scheme_accuracy < original_accuracy))
 
 
 def _scored_once(evaluator):

@@ -14,7 +14,7 @@ carry both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,7 +198,6 @@ class ResLayer:
     w_in: np.ndarray  # [width, d]
     b: np.ndarray  # [width]
     w_out: np.ndarray  # [d, width]
-    added: bool = False
 
     @property
     def width(self) -> int:
@@ -210,7 +209,7 @@ class ResNetChain:
     """x -> x + w_out @ relu(w_in @ x + b), layer by layer."""
 
     dim: int
-    layers: list[ResLayer] = field(default_factory=list)
+    layers: list[ResLayer]
 
     @classmethod
     def random(cls, dim: int, widths, rng: np.random.Generator) -> "ResNetChain":
@@ -245,11 +244,9 @@ def extend_network(chain: ResNetChain, extra_layers: int) -> ResNetChain:
     if extra_layers < 1:
         raise ValueError("extra_layers must be >= 1")
     width = max((l.width for l in chain.layers), default=1)
-    new_layers = list(chain.layers)
-    for _ in range(extra_layers):
-        new_layers.append(ResLayer(np.zeros((width, chain.dim)), np.zeros(width),
-                                   np.zeros((chain.dim, width)), added=True))
-    return ResNetChain(chain.dim, new_layers)
+    zero_layers = [ResLayer(np.zeros((width, chain.dim)), np.zeros(width),
+                            np.zeros((chain.dim, width))) for _ in range(extra_layers)]
+    return ResNetChain(chain.dim, chain.layers + zero_layers)
 
 
 def embed_as_subnetwork(narrow: ResNetChain, wide_width: int,
@@ -265,19 +262,12 @@ def embed_as_subnetwork(narrow: ResNetChain, wide_width: int,
     if wide_width <= max_width:
         raise ValueError(
             f"wide width {wide_width} must exceed the narrow max width {max_width}")
-    scale = 1.0 / np.sqrt(narrow.dim)
-    wide_layers = []
-    masks = []
-    for layer in narrow.layers:
+    wide = ResNetChain.random(narrow.dim, [wide_width] * narrow.depth, rng)
+    for layer, wide_layer in zip(narrow.layers, wide.layers):
         w = layer.width
-        w_in = rng.standard_normal((wide_width, narrow.dim)) * scale
-        b = rng.standard_normal(wide_width) * scale
-        w_out = rng.standard_normal((narrow.dim, wide_width)) * scale
-        w_in[:w] = layer.w_in
-        b[:w] = layer.b
-        w_out[:, :w] = layer.w_out
-        wide_layers.append(ResLayer(w_in, b, w_out))
-        mask = np.zeros(wide_width)
-        mask[:w] = 1.0
-        masks.append(mask)
-    return ResNetChain(narrow.dim, wide_layers), masks
+        wide_layer.w_in[:w] = layer.w_in
+        wide_layer.b[:w] = layer.b
+        wide_layer.w_out[:, :w] = layer.w_out
+    masks = [(np.arange(wide_width) < layer.width).astype(np.float64)
+             for layer in narrow.layers]
+    return wide, masks

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attnsearch.checkpoint import open_atomic
+from attnsearch.checkpoint import MAGIC, open_atomic
 from attnsearch.cli import main, read_csv, write_csv
 from attnsearch.config import ExperimentConfig
 from attnsearch.search import SupernetEvaluator
@@ -117,12 +117,15 @@ class TestPretrainAndSearch:
             "search needs a pre-trained proxy\n")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("damage", ["truncate", "trailing"])
+    @pytest.mark.parametrize("damage", ["truncate", "trailing", "newline-in-digest"])
     def test_search_refuses_damaged_checkpoint(self, tiny_config, tmp_path, capsys, damage):
         ckpt = tmp_path / "p" / "supernet.ckpt"
         assert run("pretrain", "--config", tiny_config, "--output-dir", tmp_path / "p") == 0
         blob = ckpt.read_bytes()
-        ckpt.write_bytes(blob[:len(blob) // 2] if damage == "truncate" else blob + b"junk")
+        digest_at = len(MAGIC) + 6
+        ckpt.write_bytes({"truncate": blob[:len(blob) // 2], "trailing": blob + b"junk",
+                          "newline-in-digest": blob[:digest_at] + b"\n" + blob[digest_at + 1:]
+                          }[damage])
         capsys.readouterr()
         assert run("search", "--config", tiny_config, "--checkpoint", ckpt) == 1
         err = capsys.readouterr().err
@@ -226,7 +229,10 @@ class TestEnumerateAndStudy:
         ("0011,2,0.5,0.75,84,3.1,7", "expected 6 fields, got 7"),
         ("0011,2,half,0.75,84,3.1", "could not convert string to float: 'half'"),
         ("0011,2,0.5,abc,84,3.1", "could not convert string to float: 'abc'"),
-    ], ids=["truncated", "extra-field", "text-ratio", "text-accuracy"])
+        ("0011,2,0.5,nan,84,3.1", "accuracy 'nan' is not a finite number"),
+        ("0011,2,inf,0.75,84,3.1", "ratio 'inf' is not a finite number"),
+    ], ids=["truncated", "extra-field", "text-ratio", "text-accuracy", "nan-accuracy",
+            "inf-ratio"])
     def test_report_names_the_line_of_a_bad_row(self, tmp_path, capsys, last, message):
         rows = tmp_path / "rows.csv"
         columns = ["scheme", "ones", "ratio", "accuracy", "extra_params", "flop_increment_pct"]
@@ -362,9 +368,15 @@ class TestErrors:
     def test_unknown_subcommand(self):
         assert run("fly") == 1
 
-    def test_supernet_backend_needs_checkpoint(self, tiny_config):
-        assert run("enumerate", "--config", tiny_config,
-                   "--backend", "supernet") == 1
+    def test_supernet_backend_needs_checkpoint(self, tiny_config, tmp_path, capsys):
+        for command in (["enumerate", "--backend", "supernet"],
+                        ["study", "--backend", "supernet"],
+                        ["baseline", "hsp", "--backend", "supernet"],
+                        ["baseline", "ga", "--backend", "supernet"], ["baseline", "l1"]):
+            assert run(*command, "--config", tiny_config) == 1
+            assert capsys.readouterr().err == \
+                "error: --checkpoint is required to read the supernet\n"
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, patch, message", [
         ("supernet", {"steps": "3"}, "'supernet.steps' must be int, got '3'"),
@@ -508,7 +520,7 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {path}: {token} is not a JSON value\n"
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("flag", ["--dim", "--depth", "--width", "--probes"])
+    @pytest.mark.parametrize("flag", ["--dim", "--depth", "--width", "--extra", "--probes"])
     def test_extend_demo_refuses_sizes_below_one(self, tiny_config, tmp_path, capsys, flag):
         assert run("extend-demo", "--config", tiny_config, flag, 0) == 1
         assert capsys.readouterr().err == f"error: {flag} must be >= 1, got 0\n"
@@ -647,3 +659,142 @@ class TestEdgeValues:
                       ["enumerate", *c], ["study", *c], ["baseline", "hsp", *c],
                       ["baseline", "ga", *c], ["baseline", "l1", *c, "--checkpoint", ckpt],
                       ["verify-thm1", *c], ["extend-demo", *c]], out)
+
+
+def _parse_strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _checkpoint_entries(path, config_path):
+    """Byte offset of every float64 parameter entry in the checkpoint at `path`."""
+    cfg = ExperimentConfig.from_file(config_path)
+    offset = len(MAGIC) + 4 + 2 + len(cfg.digest()) + 8 + 4
+    entries = []
+    for name, param in cfg.build_supernet().named_parameters():
+        offset += 2 + len(name) + 1 + 4 * param.value.ndim
+        entries.extend(range(offset, offset + 8 * param.value.size, 8))
+        offset += 8 * param.value.size
+    assert offset == os.path.getsize(path)
+    return entries
+
+
+STUDY_COLUMNS = ["scheme", "ones", "ratio", "accuracy", "extra_params", "flop_increment_pct"]
+FIELD_TEXTS = ["nan", "inf", "-inf", "1e999", "-1e999", "", "x", "0.5", "-0", "1e-400", " 2"]
+CONFIG_CHARS = '{}[],:"-.0eEntx '
+ROW_PADS = [",", ",0", " ", ",,", "\t"]
+SEED_TEXTS = ["", "x", " 3", "3 ", "+3", "3.0", "1e3", "0x10", "nan", "-0", "٣"]
+
+
+@dataclasses.dataclass
+class IntactInputs:
+    """The intact inputs the cases damage (kept out of hypothesis's reports)."""
+    checkpoint: bytes = dataclasses.field(repr=False)
+    entries: list = dataclasses.field(repr=False)  # offsets of its float64 entries
+    config: object = dataclasses.field(repr=False)  # the checkpoint's config file
+    text: str = dataclasses.field(repr=False)  # that file's JSON text
+    rows: list = dataclasses.field(repr=False)  # a rows file's lines
+
+
+@pytest.fixture(scope="module")
+def file_inputs(tiny_checkpoint):
+    config = tiny_checkpoint.parent / "exp.json"
+    rows = tiny_checkpoint.parent / "rows.csv"
+    write_csv(rows, "d" * 64, STUDY_COLUMNS,
+              [["0110", 2, 0.5, 0.75, 84, 3.1], ["0010", 1, 0.25, 0.5, 42, 1.6],
+               ["1110", 3, 0.75, 0.625, 126, 4.7]])
+    return IntactInputs(tiny_checkpoint.read_bytes(),
+                        _checkpoint_entries(tiny_checkpoint, config), config,
+                        config.read_text(encoding="utf-8"),
+                        rows.read_text(encoding="utf-8").splitlines(keepends=True))
+
+
+class TestFileInputs:
+    """A damaged checkpoint, rows file or config text, or any ATTNSEARCH_SEED:
+    exit 0 with strict-JSON outputs, or exit 1 with one stderr line and nothing
+    written; never a traceback or a warning."""
+
+    @staticmethod
+    def check(argv, outdir, env_seed=None):
+        """Run one command that writes only into `outdir`."""
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.MonkeyPatch.context() as mp, \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            mp.delenv("ATTNSEARCH_SEED", raising=False)
+            if env_seed is not None:
+                mp.setenv("ATTNSEARCH_SEED", env_seed)
+            rc = run(*argv)
+        assert not caught, (argv, [str(w.message) for w in caught])
+        err = err.getvalue()
+        if rc == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            assert not outdir.exists(), argv
+            return
+        assert rc == 0 and err == "", (argv, rc, err)
+        for path in outdir.rglob("*.json"):
+            _parse_strict_json(path.read_text(encoding="utf-8"))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.sampled_from(["truncate", "flip", "nan"]), st.integers(0, 1 << 20),
+           st.integers(1, 255))
+    def test_damaged_checkpoint(self, file_inputs, tmp_path_factory, how, at, xor):
+        out = tmp_path_factory.mktemp("checkpoint")
+        blob = bytearray(file_inputs.checkpoint)
+        if how == "truncate":
+            blob = blob[:at % len(blob)]
+        elif how == "flip":
+            blob[at % len(blob)] ^= xor
+        else:
+            entry = file_inputs.entries[at % len(file_inputs.entries)]
+            blob[entry:entry + 8] = struct.pack("<d", math.nan)
+        ckpt = out / "supernet.ckpt"
+        ckpt.write_bytes(bytes(blob))
+        for command in (["search"], ["baseline", "l1"]):
+            outdir = out / command[-1]
+            self.check([*command, "--config", file_inputs.config, "--checkpoint", ckpt,
+                        "--output-dir", outdir], outdir)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(0, 4),  # the line: digest, header, then three rows
+           st.sampled_from(["cut", "pad", "field"]), st.integers(0, 80),
+           st.sampled_from(ROW_PADS), st.sampled_from(FIELD_TEXTS))
+    def test_damaged_rows_line(self, file_inputs, tmp_path_factory, line_no, how, at, pad,
+                               text):
+        out = tmp_path_factory.mktemp("rows")
+        lines = list(file_inputs.rows)
+        line = lines[line_no].rstrip("\n")
+        if how == "cut":
+            line = line[:at]
+        elif how == "pad":
+            line += pad
+        else:
+            fields = line.split(",")
+            fields[at % len(fields)] = text
+            line = ",".join(fields)
+        lines[line_no] = line + "\n"
+        rows = out / "rows.csv"
+        rows.write_text("".join(lines), encoding="utf-8")
+        self.check(["report", "--rows", rows, "--out", out / "o" / "summary.json"], out / "o")
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.sampled_from(["delete", "insert", "replace"]), st.integers(0, 1 << 12),
+           st.sampled_from(CONFIG_CHARS))
+    def test_damaged_config_text(self, file_inputs, tmp_path_factory, how, at, char):
+        out = tmp_path_factory.mktemp("config")
+        text = file_inputs.text
+        at %= len(text) + (how == "insert")
+        rest = text[at:] if how == "insert" else text[at + 1:]
+        text = text[:at] + ("" if how == "delete" else char) + rest
+        path = out / "exp.json"
+        path.write_text(text, encoding="utf-8")
+        self.check(["baseline", "hsp", "--config", path, "--output-dir", out / "o"], out / "o")
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.one_of(st.sampled_from(SEED_TEXTS), st.integers(-3, 1 << 70).map(str)))
+    def test_any_env_seed(self, file_inputs, tmp_path_factory, seed):
+        out = tmp_path_factory.mktemp("seed")
+        self.check(["pretrain", "--config", file_inputs.config, "--output-dir", out / "o"],
+                   out / "o", env_seed=seed)

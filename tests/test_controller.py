@@ -220,7 +220,7 @@ class TestPPO:
         before = [p.value.copy() for p in st.parameters()]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            ppo_update(st, [])
+            ppo_update(st)
         assert any("empty" in str(w.message) for w in caught)
         for p, b in zip(st.parameters(), before):
             np.testing.assert_array_equal(p.value, b)
