@@ -27,7 +27,8 @@ from .search import SyntheticLandscape
 from .theory import thm1_width_bound
 
 ENV_SEED = "ATTNSEARCH_SEED"
-# normal draws `verify-thm1` may make: 25x the default config's 4.0e9
+# normal draws `verify-thm1` may make in the worst case, where every trial
+# fails and so draws all its rows: 25x the default config's 4.0e9
 MAX_THM1_DRAWS = 10 ** 11
 
 

@@ -350,7 +350,13 @@ def evaluate_scheme(net: SupernetState, scheme: ConnectionScheme, val_set: Datas
     """Validation accuracy of the subnetwork gated by `scheme` (deterministic)."""
     if len(val_set) == 0:
         raise ValueError("validation set is empty")
-    logits = net.forward(val_set.images, scheme, train=False)
+    # weights that overflow the forward are refused, so numpy's warnings are
+    # silenced rather than printed (as in train_step)
+    with np.errstate(all="ignore"):
+        logits = net.forward(val_set.images, scheme, train=False)
+    if not np.isfinite(logits).all():
+        raise ValueError(f"scheme {scheme.to_string()} gives non-finite logits: "
+                         "the network's weights overflow its forward pass")
     return float((logits.argmax(axis=1) == val_set.labels).mean())
 
 

@@ -312,6 +312,29 @@ class TestVerifySubcommands:
         path.write_text(json.dumps(cfg))
         assert run("verify-thm1", "--config", path) == 2
 
+    @pytest.mark.parametrize("theory, code", [
+        # bound width 45,335 rows: a trial stops at its first row under the cutoff
+        ({"d": 4, "epsilon": 0.13, "delta": 0.2, "dof_convention": "corrected"}, 0),
+        # the literal bound (8,687 rows) is far too narrow at d=2: every trial fails
+        ({"d": 2, "epsilon": 1e-4, "delta": 0.5, "dof_convention": "literal"}, 2),
+    ], ids=["early-stop", "every-trial-fails"])
+    def test_verify_thm1_reports_rows_drawn(self, tmp_path, theory, code):
+        cfg = dict(TINY, output_dir=str(tmp_path / "o"),
+                   theory=dict(theory, trials=100, probes=10))
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(cfg))
+        assert run("verify-thm1", "--config", path) == code
+        (mc,) = json.loads((tmp_path / "o" / "thm1_report.json").read_text())["monte_carlo"]
+        full = mc["trials"] * mc["m"]
+        failures = round(mc["failure_rate"] * mc["trials"])
+        if code == 2:
+            assert failures == mc["trials"] and mc["rows_drawn"] == full
+        else:
+            # a failing trial draws all m rows, any other at least one block
+            assert mc["m"] > 8192 and 0 < failures < mc["trials"]
+            assert failures * mc["m"] + (mc["trials"] - failures) * 8192 \
+                <= mc["rows_drawn"] < 0.75 * full
+
     def test_extend_demo(self, tiny_config, tmp_path):
         assert run("extend-demo", "--config", tiny_config) == 0
         report = json.loads((tmp_path / "out" / "extend_report.json").read_text())
@@ -756,6 +779,26 @@ class TestFileInputs:
             outdir = out / command[-1]
             self.check([*command, "--config", file_inputs.config, "--checkpoint", ckpt,
                         "--output-dir", outdir], outdir)
+
+    def test_finite_but_huge_weight_refused_when_scoring(self, file_inputs, tmp_path, capsys):
+        blob = bytearray(file_inputs.checkpoint)
+        blob[1251] ^= 1 << 6
+        entry = max(e for e in file_inputs.entries if e <= 1251)
+        (value,) = struct.unpack("<d", blob[entry:entry + 8])
+        assert math.isfinite(value) and abs(value) > 1e300  # overflows in the forward
+        ckpt = tmp_path / "supernet.ckpt"
+        ckpt.write_bytes(bytes(blob))
+        for command in (["enumerate", "--backend", "supernet"], ["search"]):
+            outdir = tmp_path / command[0]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = run(*command, "--config", file_inputs.config, "--checkpoint", ckpt,
+                         "--output-dir", outdir)
+            assert not caught, [str(w.message) for w in caught]
+            err = capsys.readouterr().err
+            assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+            assert "non-finite logits" in err
+            assert not outdir.exists()
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.integers(0, 4),  # the line: digest, header, then three rows

@@ -185,19 +185,51 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             thm1_monte_carlo(4, 1.0, 0.1, 50, np.random.default_rng(10), "corrected")
 
-    def test_row_blocks_match_one_draw_per_trial(self):
-        # 20000 rows span several blocks and end on a partial one
+    def test_trials_stop_at_the_first_block_under_the_cutoff(self):
+        # 20000 rows span several blocks of 8192 and end on a partial one
         d, eps, trials, m = 4, 0.13, 100, 20000
         rng = np.random.default_rng(11)
         out = thm1_monte_carlo(d, eps, 0.2, trials, rng, "corrected", m=m)
         ref_rng = np.random.default_rng(11)
-        failures = 0
+        failures = rows = 0
+        for _ in range(trials):
+            drawn = 0
+            while drawn < m:
+                raw = ref_rng.standard_normal((min(8192, m - drawn), d))
+                drawn += len(raw)
+                if np.einsum("ij,ij->i", raw, raw).min() < eps * eps:
+                    break
+            else:
+                failures += 1
+            rows += drawn
+        assert 0 < failures < trials
+        assert rows < trials * m
+        assert out["failure_rate"] == failures / trials
+        assert out["rows_drawn"] == rows
+        assert rng.random() == ref_rng.random()  # the same number of draws
+
+    def test_failing_trials_draw_every_row(self):
+        # no row falls under a tiny cutoff, so each trial draws one m x d stream
+        d, trials, m = 4, 100, 10000
+        rng = np.random.default_rng(12)
+        out = thm1_monte_carlo(d, 1e-6, 0.2, trials, rng, "corrected", m=m)
+        ref_rng = np.random.default_rng(12)
         for _ in range(trials):
             raw = ref_rng.standard_normal((m, d))
-            failures += int(np.einsum("ij,ij->i", raw, raw).min() >= eps * eps)
-        assert 0 < failures < trials
-        assert out["failure_rate"] == failures / trials
-        assert rng.random() == ref_rng.random()  # the same number of draws
+            assert np.einsum("ij,ij->i", raw, raw).min() >= 1e-12
+        assert out["failure_rate"] == 1.0
+        assert out["rows_drawn"] == trials * m
+        assert rng.random() == ref_rng.random()
+
+    def test_failure_rate_within_three_sigma_of_the_exact_probability(self):
+        # P(fail) = P(chi^2(4) >= eps^2)^m, about 0.3 over three blocks of rows
+        d, eps, trials, m = 4, 0.148, 2000, 20000
+        exact = chi_square_tail(d, eps) ** m
+        assert 0.25 < exact < 0.35
+        out = thm1_monte_carlo(d, eps, 0.3, trials, np.random.default_rng(13),
+                               "corrected", m=m)
+        sigma = math.sqrt(exact * (1.0 - exact) / trials)
+        assert abs(out["failure_rate"] - exact) <= 3.0 * sigma, (out["failure_rate"], exact)
 
 
 class TestExtension:
