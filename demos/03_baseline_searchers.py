@@ -22,7 +22,7 @@ for period in (2, 3):
 
 print("\ngenetic algorithm, 20 individuals x 15 generations:")
 for seed in range(3):
-    best, fit = ga_search(land, M, 20, 15, np.random.default_rng(seed),
-                          RewardConfig(0.0, 1.0, 0.0))
-    print(f"  seed {seed}: {best.to_string()}  score {land(best):.4f}  "
+    best, _, score = ga_search(land, M, 20, 15, np.random.default_rng(seed),
+                               RewardConfig(0.0, 1.0, 0.0))
+    print(f"  seed {seed}: {best.to_string()}  score {score:.4f}  "
           f"rank {rank_of[best]}")

@@ -112,7 +112,6 @@ class SGEModule(_AttentionModule):
     def __init__(self, channels: int, groups: int) -> None:
         self.slices = channel_groups(channels, groups)
         self.channels = channels
-        self.groups = groups
         self.gamma = Parameter(np.ones(len(self.slices)))
         self.beta = Parameter(np.zeros(len(self.slices)))
         self._cache = []
@@ -168,22 +167,3 @@ class SGEModule(_AttentionModule):
 def sge_attention(x: Tensor, module: SGEModule) -> Tensor:
     """Per-pixel mask [C,H,W] (constant across each channel group)."""
     return _apply_single(x, module)
-
-
-# ---------------------------------------------------------------------------
-# recalibration
-# ---------------------------------------------------------------------------
-
-def recalibrate(x_in: Tensor, residual: Tensor, mask: Tensor, connected: int) -> Tensor:
-    """x_in + mask * residual when connected, else plain x_in + residual.
-
-    Module masks broadcast against the residual as they are; a single-sample
-    [C] channel mask is the one shape widened here.
-    """
-    x_in, residual = np.asarray(x_in), np.asarray(residual)
-    if not connected:
-        return x_in + residual
-    mask = np.asarray(mask)
-    if mask.ndim == 1 and residual.ndim == 3:
-        mask = mask[:, None, None]
-    return x_in + mask * residual

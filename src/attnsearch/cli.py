@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 validation failure, 2 acceptance-check failure
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -225,16 +224,13 @@ def cmd_baseline(args) -> int:
         payload.update(period=args.period, offset=args.offset,
                        scheme=scheme.to_string(), score=float(evaluator(scheme)))
     elif args.method == "ga":
-        # the winner's score is read back from the scores the GA computed
-        evaluator = functools.cache(_evaluator(cfg, args))
         generations = args.generations
         if generations is None:  # ga_search refuses a population below 4
             generations = max(1, cfg.search.iterations // max(args.population, 1))
-        scheme, fit = ga_search(evaluator, m, args.population, generations,
-                                cfg.rng("ga"), cfg.rewards)
+        scheme, fit, score = ga_search(_evaluator(cfg, args), m, args.population,
+                                       generations, cfg.rng("ga"), cfg.rewards)
         payload.update(population=args.population, generations=generations,
-                       scheme=scheme.to_string(), fitness=fit,
-                       score=float(evaluator(scheme)))
+                       scheme=scheme.to_string(), fitness=fit, score=score)
     else:  # l1
         evaluator = _supernet_evaluator(cfg, args.checkpoint)
         scheme = l1_prune_baseline(evaluator.net, args.keep_ratio)

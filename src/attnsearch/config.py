@@ -116,14 +116,15 @@ class TheorySpec:
         _require("theory", self, "epsilon", self.epsilon > 0, "be > 0")
         _require("theory", self, "delta", 0 < self.delta < 1, "lie in (0, 1)")
         try:
-            width = max(thm1_width_bound(self.d, self.epsilon, self.delta, conv)
+            width = sum(thm1_width_bound(self.d, self.epsilon, self.delta, conv)
                         for conv in self.conventions)
         except ValueError:  # a tail probability of 1: no finite width
             width = math.inf
         draws = self.trials * self.d * width
         if draws > MAX_THM1_DRAWS:
             raise ValueError(f"config section 'theory' needs {draws:.2g} normal draws in "
-                             f"verify-thm1 (trials x d x width bound), more than "
+                             f"verify-thm1 (trials x d x width bound, summed over the "
+                             f"conventions), more than "
                              f"{MAX_THM1_DRAWS:.0e}; raise theory.epsilon or lower theory.trials")
 
     @property

@@ -214,11 +214,12 @@ def hsp_scheme(period: int, offset: int, m: int) -> ConnectionScheme:
 
 def ga_search(evaluator, m: int, population: int, generations: int,
               rng: np.random.Generator,
-              rewards: RewardConfig | None = None) -> tuple[ConnectionScheme, float]:
+              rewards: RewardConfig | None = None) -> tuple[ConnectionScheme, float, float]:
     """Bit-string GA: tournament (k=3), uniform crossover (p=0.5), per-bit
     mutation 1/m, single elite. Fitness is the combined reward with the
-    novelty term absent. `evaluator` must be a pure function of the scheme:
-    each distinct scheme is scored once and reused on a repeat."""
+    novelty term absent. Returns (best scheme, its fitness, its score).
+    `evaluator` must be a pure function of the scheme: each distinct scheme
+    is scored once and reused on a repeat."""
     if population < 4:
         raise ValueError("population must be at least 4")
     if generations < 1:
@@ -255,7 +256,7 @@ def ga_search(evaluator, m: int, population: int, generations: int,
         f = fitness(s)
         if f > best_fit:
             best_scheme, best_fit = s, f
-    return best_scheme, best_fit
+    return best_scheme, best_fit, score(best_scheme)
 
 
 def l1_prune_baseline(net: SupernetState, keep_ratio: float) -> ConnectionScheme:

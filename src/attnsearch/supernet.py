@@ -8,13 +8,12 @@ Also provides parameter/FLOP accounting and wall-clock timing increments.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 
-from .attention import SEModule, SGEModule, channel_groups, recalibrate
+from .attention import SEModule, SGEModule, channel_groups
 from .data import Dataset
 from .nncore import (Conv2d, Dense, GlobalAvgPool, OptimizerConfig, ReLU,
                      sgd_momentum_step, softmax_cross_entropy_batch)
@@ -165,7 +164,7 @@ class ResidualBlock:
         mask = self.sam.forward(f, train) if connected else None
         if train:
             self._cache = (f, mask)
-        return recalibrate(x, f, mask, connected)
+        return x + f if mask is None else x + mask * f
 
     def backward(self, dout):
         f, mask = self._cache
@@ -229,7 +228,7 @@ class SupernetState:
         return loss
 
     def train_step(self, x, y, scheme: ConnectionScheme, opt: OptimizerConfig,
-                   clip_norm: float | None = 10.0) -> float:
+                   clip_norm: float = 10.0) -> float:
         # bounded loss gradients still amplify through a deep no-norm residual
         # tower; the global-norm clip keeps rare confident-wrong batches from
         # blowing up training. A step that overflows anyway is refused, so
@@ -241,7 +240,7 @@ class SupernetState:
             if not (np.isfinite(loss) and np.isfinite(total)):
                 raise ValueError(f"training diverged at step {self.step_count + 1}: loss "
                                  f"{loss:.4g}, global gradient norm {total:.4g}")
-            if clip_norm is not None and total > clip_norm:
+            if total > clip_norm:
                 scale = clip_norm / total
                 for p in active:
                     p.grad *= scale
@@ -413,26 +412,3 @@ def extra_flops(config: BackboneConfig, scheme: ConnectionScheme) -> int:
 
 def flop_increment_pct(config: BackboneConfig, scheme: ConnectionScheme) -> float:
     return 100.0 * extra_flops(config, scheme) / base_flops(config)
-
-
-def inference_time_increment(net: SupernetState, scheme: ConnectionScheme,
-                             probe_batch, repetitions: int) -> float:
-    """Wall-clock increment vs the gate-free backbone, medians over runs.
-
-    Environment-dependent; the analytic FLOP increment is the
-    contract-bearing number.
-    """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    if scheme.ones_count == 0:
-        return 0.0
-    zeros = ConnectionScheme.zeros(net.config.total_blocks)
-    # scheme and base runs alternate, so machine drift hits both medians alike
-    t_scheme, t_base = [], []
-    for _ in range(repetitions):
-        for s, times in ((scheme, t_scheme), (zeros, t_base)):
-            t0 = time.perf_counter()
-            net.forward(probe_batch, s, train=False)
-            times.append(time.perf_counter() - t0)
-    base = float(np.median(t_base))
-    return 100.0 * (float(np.median(t_scheme)) - base) / base

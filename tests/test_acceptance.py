@@ -95,8 +95,8 @@ def test_criterion_02_search_quality_vs_exhaustive():
         res = ean_search(land, controller, RewardConfig(0.0, 1.0, 0.0), 300,
                          np.random.default_rng(200 + seed))
         ean_hits += rank_of[res.best[0][0]] < 0.05 * 256
-        best, _ = ga_search(land, 8, 20, 15, np.random.default_rng(300 + seed),
-                            RewardConfig(0.0, 1.0, 0.0))
+        best, _, _ = ga_search(land, 8, 20, 15, np.random.default_rng(300 + seed),
+                               RewardConfig(0.0, 1.0, 0.0))
         ga_hits += rank_of[best] < 0.10 * 256
     elapsed = time.perf_counter() - started
     report(2, "search quality vs exhaustive oracle",

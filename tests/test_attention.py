@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from attnsearch.attention import (SEModule, SGEModule, channel_groups, recalibrate,
-                                  se_attention, sge_attention)
+from attnsearch.attention import (SEModule, SGEModule, channel_groups, se_attention,
+                                  sge_attention)
 from attnsearch.nncore import grad_check
 from attnsearch.supernet import BackboneConfig
 
@@ -19,11 +19,11 @@ def se_reference(x, p):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def sge_reference(x, p):
+def sge_reference(x, p, groups):
     """Direct transcription of the group-wise saliency mask."""
     c, h, w = x.shape
     mask = np.zeros_like(x)
-    for gi, sl in enumerate(channel_groups(c, p.groups)):
+    for gi, sl in enumerate(channel_groups(c, groups)):
         y = x[sl]
         g = y.mean(axis=(1, 2))
         sal = np.zeros((h, w))
@@ -108,7 +108,7 @@ class TestSGEAttention:
         p.gamma.value[:] = rng.standard_normal(2)
         p.beta.value[:] = rng.standard_normal(2)
         x = rng.standard_normal((4, 3, 3))
-        np.testing.assert_allclose(sge_attention(x, p), sge_reference(x, p), atol=1e-12)
+        np.testing.assert_allclose(sge_attention(x, p), sge_reference(x, p, 2), atol=1e-12)
 
     def test_too_many_groups(self):
         with pytest.raises(ValueError, match="groups"):
@@ -121,30 +121,6 @@ class TestSGEAttention:
 
     def test_grouping_may_truncate(self):
         assert [s.stop - s.start for s in channel_groups(6, 4)] == [2, 2, 2]
-
-
-class TestRecalibrate:
-    def test_all_ones_mask_is_plain_residual(self):
-        rng = np.random.default_rng(10)
-        x, f = rng.standard_normal((3, 4, 4)), rng.standard_normal((3, 4, 4))
-        np.testing.assert_array_equal(recalibrate(x, f, np.ones(3), 1), x + f)
-
-    def test_zero_mask_suppresses_residual(self):
-        rng = np.random.default_rng(11)
-        x, f = rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3, 3))
-        np.testing.assert_array_equal(recalibrate(x, f, np.zeros(2), 1), x)
-
-    def test_disconnected_ignores_mask(self):
-        rng = np.random.default_rng(12)
-        x, f = rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3, 3))
-        junk = rng.standard_normal(2)
-        np.testing.assert_array_equal(recalibrate(x, f, junk, 0), x + f)
-
-    def test_full_shape_mask(self):
-        rng = np.random.default_rng(13)
-        x, f = rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3, 3))
-        mask = rng.random((2, 3, 3))
-        np.testing.assert_allclose(recalibrate(x, f, mask, 1), x + mask * f, atol=1e-15)
 
 
 class _MaskSum:

@@ -465,10 +465,11 @@ class TestErrors:
         ("theory", {"trials": 5}, "'theory.trials' must be >= 100, got 5"),
         ("theory", {"epsilon": 1e-3},
          "config section 'theory' needs 7.7e+15 normal draws in verify-thm1 (trials x d x "
-         "width bound), more than 1e+11; raise theory.epsilon or lower theory.trials"),
+         "width bound, summed over the conventions), more than 1e+11; raise theory.epsilon "
+         "or lower theory.trials"),
         ("theory", {"epsilon": 1e-10}, "needs inf normal draws in verify-thm1"),
         ("theory", {"dof_convention": "both", "epsilon": 0.05, "trials": 20000},
-         "needs 1.6e+11 normal draws in verify-thm1"),
+         "needs 1.7e+11 normal draws in verify-thm1"),
     ], ids=["string-steps", "zero-channels", "no-stages", "class-mismatch", "ratio-text",
             "bogus-dof", "zero-probes", "zero-batch",
             "negative-steps", "zero-samples-per-ratio", "negative-lr-drop",

@@ -134,12 +134,18 @@ def test_digits_provide_at_most_10_classes():
 
 
 def test_thm1_draw_bound_covers_every_convention_run():
-    # literal alone needs 3.9e9 draws; "both" also runs corrected, which needs 1.6e11
-    theory = {"d": 4, "epsilon": 0.05, "delta": 0.2, "trials": 20000}
-    ExperimentConfig.from_dict({"theory": dict(theory, dof_convention="literal")})
-    with pytest.raises(ValueError, match=r"needs 1.6e\+11 normal draws .* more than 1e\+11; "
-                                         r"raise theory.epsilon or lower theory.trials$"):
-        ExperimentConfig.from_dict({"theory": dict(theory, dof_convention="both")})
+    # "both" runs both conventions, so it needs their sum: at the first
+    # input literal alone needs 3.9e9 draws and corrected 1.6e11 more; at
+    # the second each alone fits (literal 1.7e10, corrected 1.0e11) but
+    # not the two together
+    for theory, alone, need in [
+            ({"d": 4, "epsilon": 0.05, "delta": 0.2, "trials": 20000}, "literal", "1.7e"),
+            ({"d": 8, "epsilon": 0.5, "delta": 0.1, "trials": 49978}, "corrected", "1.2e")]:
+        ExperimentConfig.from_dict({"theory": dict(theory, dof_convention=alone)})
+        with pytest.raises(ValueError, match=rf"needs {need}\+11 normal draws .* summed over "
+                                             r"the conventions\), more than 1e\+11; "
+                                             r"raise theory.epsilon or lower theory.trials$"):
+            ExperimentConfig.from_dict({"theory": dict(theory, dof_convention="both")})
 
 
 def test_named_streams_are_independent():

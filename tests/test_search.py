@@ -138,19 +138,19 @@ class TestGA:
     def test_onemax_converges(self):
         hits = 0
         for seed in range(20):
-            best, _ = ga_search(lambda s: s.ones_count / 8, 8, 20, 30,
-                                np.random.default_rng(seed),
-                                RewardConfig(0.0, 1.0, 0.0))
+            best, _, _ = ga_search(lambda s: s.ones_count / 8, 8, 20, 30,
+                                   np.random.default_rng(seed),
+                                   RewardConfig(0.0, 1.0, 0.0))
             hits += best.to_string() == "11111111"
         assert hits >= 19
 
     def test_sparsity_fitness_converges_to_zeros(self):
-        best, _ = ga_search(lambda s: 0.0, 8, 20, 30, np.random.default_rng(40),
-                            RewardConfig(1.0, 0.0, 0.0))
+        best, _, _ = ga_search(lambda s: 0.0, 8, 20, 30, np.random.default_rng(40),
+                               RewardConfig(1.0, 0.0, 0.0))
         assert best.to_string() == "00000000"
 
     def test_constant_fitness_returns_member(self):
-        best, fit = ga_search(lambda s: 0.5, 6, 8, 5, np.random.default_rng(41))
+        best, fit, _ = ga_search(lambda s: 0.5, 6, 8, 5, np.random.default_rng(41))
         assert len(best) == 6
         assert abs(fit - (0.5 * best.ones_count / 6 + 0.5)) < 1e-12 or fit >= 0.5
 
@@ -160,8 +160,8 @@ class TestGA:
 
     def test_never_beats_exhaustive(self):
         land = SyntheticLandscape(6, 43)
-        best, _ = ga_search(land, 6, 12, 20, np.random.default_rng(44),
-                            RewardConfig(0.0, 1.0, 0.0))
+        best, _, _ = ga_search(land, 6, 12, 20, np.random.default_rng(44),
+                               RewardConfig(0.0, 1.0, 0.0))
         exhaust_max = exhaustive_search(land, 6)[0][1]
         assert land(best) <= exhaust_max
 
@@ -170,12 +170,13 @@ class TestGA:
         counted = CountingEvaluator(land)
         rewards = RewardConfig(0.5, 1.0, 0.0)
         population, generations = 8, 10
-        best, fit = ga_search(counted, 5, population, generations,
-                              np.random.default_rng(46), rewards)
+        best, fit, score = ga_search(counted, 5, population, generations,
+                                     np.random.default_rng(46), rewards)
         assert len(counted.calls) == len(set(counted.calls))
         assert len(counted.calls) < population * (generations + 1)  # repeats were read
         assert best.to_string() in counted.calls
         assert fit == combined_reward(rewards, sparsity_reward(best), land(best), 0.0)
+        assert score == land(best)
 
 
 class TestL1Prune:

@@ -17,10 +17,8 @@ from attnsearch.data import Dataset, make_blob_dataset
 from attnsearch.nncore import OptimizerConfig, grad_check
 from attnsearch.supernet import (BackboneConfig, ConnectionScheme, ResidualBlock, SupernetState,
                                  base_flops, count_params, evaluate_scheme,
-                                 extra_flops, flop_increment_pct,
-                                 inference_time_increment,
-                                 pretrain_supernet, sample_bernoulli_scheme,
-                                 train_with_scheme)
+                                 extra_flops, flop_increment_pct, pretrain_supernet,
+                                 sample_bernoulli_scheme, train_with_scheme)
 
 CFG = BackboneConfig(stages=((2, 4), (2, 6)), input_shape=(1, 6, 6), classes=3,
                      sam="se", reduction=2)
@@ -118,6 +116,24 @@ class TestForwardWithScheme:
         for i in range(2):  # upstream of the flipped bit: bit-identical
             np.testing.assert_array_equal(base[i], flipped[i])
         assert np.abs(base[2] - flipped[2]).max() > 0
+
+    @pytest.mark.parametrize("kind", ["ones", "zeros", "random"])
+    def test_block_adds_the_masked_residual(self, kind):
+        rng = np.random.default_rng(14)
+        block = ResidualBlock(3, rng)
+        x = rng.standard_normal((2, 3, 4, 4))
+        f = block.conv2.forward(np.maximum(block.conv1.forward(x), 0.0))
+        mask = {"ones": np.ones((2, 3, 1, 1)), "zeros": np.zeros((2, 3, 1, 1)),
+                "random": rng.random(f.shape)}[kind]
+
+        class StubModule:
+            def forward(self, feat, train=False):
+                np.testing.assert_array_equal(feat, f)
+                return mask
+
+        block.sam = StubModule()
+        np.testing.assert_array_equal(block.forward(x, 1), x + mask * f)
+        np.testing.assert_array_equal(block.forward(x, 0), x + f)
 
     def test_evaluation_never_mutates(self):
         net = small_net(4)
@@ -433,32 +449,6 @@ class TestAccounting:
         assert getattr(BackboneConfig(**layout, **{ignored: 99}), ignored) == 99
         with pytest.raises(ValueError, match=rf"{checked} 5 must lie in \[1, 4\]"):
             BackboneConfig(**layout, **{checked: 5})
-
-
-class TestTiming:
-    def test_zero_scheme_increment_is_zero_by_definition(self):
-        net = small_net(25)
-        assert inference_time_increment(net, ConnectionScheme.zeros(4),
-                                        small_batch(26), 3) == 0.0
-
-    def test_full_hardware_increment_vs_sparse_in_expectation(self):
-        # wall clock is advisory and the claim is about expectations, so a
-        # majority of repeated median-filtered comparisons must order the
-        # fully connected net above the sparse one
-        net = small_net(27)
-        probe = small_batch(28, n=32)
-        ordered = 0
-        for _ in range(5):
-            full = inference_time_increment(net, ConnectionScheme.ones(4), probe, 51)
-            sparse = inference_time_increment(net, ConnectionScheme([1, 0, 0, 0]),
-                                              probe, 51)
-            ordered += full >= sparse - 1.0
-        assert ordered >= 3
-
-    def test_repetitions_validated(self):
-        net = small_net(29)
-        with pytest.raises(ValueError):
-            inference_time_increment(net, ConnectionScheme.ones(4), small_batch(30), 0)
 
 
 class TestCheckpoint:
