@@ -6,7 +6,7 @@ import pytest
 from attnsearch.attention import (SEModule, SGEModule, channel_groups, se_attention,
                                   sge_attention)
 from attnsearch.nncore import grad_check
-from attnsearch.supernet import BackboneConfig
+from attnsearch.supernet import BackboneConfig, ResidualBlock
 
 
 def se_reference(x, p):
@@ -121,6 +121,45 @@ class TestSGEAttention:
 
     def test_grouping_may_truncate(self):
         assert [s.stop - s.start for s in channel_groups(6, 4)] == [2, 2, 2]
+
+
+class TestRecalibrate:
+    """ResidualBlock.forward recalibrates its residual f: x + mask * f when the
+    block is connected, x + f when it is not, whatever its module returns."""
+
+    @staticmethod
+    def block_with_mask(seed, make_mask):
+        rng = np.random.default_rng(seed)
+        block = ResidualBlock(3, rng)
+        x = rng.standard_normal((2, 3, 4, 4))
+        f = block.conv2.forward(np.maximum(block.conv1.forward(x), 0.0))
+        mask = make_mask(rng, f)
+
+        class StubModule:
+            def forward(self, feat, train=False):
+                np.testing.assert_array_equal(feat, f)
+                return mask
+
+        block.sam = StubModule()
+        return block, x, f, mask
+
+    def test_all_ones_mask_is_plain_residual(self):
+        block, x, f, _ = self.block_with_mask(10, lambda rng, f: np.ones((2, 3, 1, 1)))
+        np.testing.assert_array_equal(block.forward(x, 1), x + f)
+
+    def test_zero_mask_suppresses_residual(self):
+        block, x, _, _ = self.block_with_mask(11, lambda rng, f: np.zeros((2, 3, 1, 1)))
+        np.testing.assert_array_equal(block.forward(x, 1), x)
+
+    def test_disconnected_ignores_mask(self):
+        block, x, f, _ = self.block_with_mask(
+            12, lambda rng, f: rng.standard_normal((2, 3, 1, 1)))
+        np.testing.assert_array_equal(block.forward(x, 0), x + f)
+
+    def test_full_shape_mask(self):
+        block, x, f, mask = self.block_with_mask(13, lambda rng, f: rng.random(f.shape))
+        np.testing.assert_array_equal(block.forward(x, 1), x + mask * f)
+        np.testing.assert_array_equal(block.forward(x, 0), x + f)
 
 
 class _MaskSum:

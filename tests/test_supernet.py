@@ -117,24 +117,6 @@ class TestForwardWithScheme:
             np.testing.assert_array_equal(base[i], flipped[i])
         assert np.abs(base[2] - flipped[2]).max() > 0
 
-    @pytest.mark.parametrize("kind", ["ones", "zeros", "random"])
-    def test_block_adds_the_masked_residual(self, kind):
-        rng = np.random.default_rng(14)
-        block = ResidualBlock(3, rng)
-        x = rng.standard_normal((2, 3, 4, 4))
-        f = block.conv2.forward(np.maximum(block.conv1.forward(x), 0.0))
-        mask = {"ones": np.ones((2, 3, 1, 1)), "zeros": np.zeros((2, 3, 1, 1)),
-                "random": rng.random(f.shape)}[kind]
-
-        class StubModule:
-            def forward(self, feat, train=False):
-                np.testing.assert_array_equal(feat, f)
-                return mask
-
-        block.sam = StubModule()
-        np.testing.assert_array_equal(block.forward(x, 1), x + mask * f)
-        np.testing.assert_array_equal(block.forward(x, 0), x + f)
-
     def test_evaluation_never_mutates(self):
         net = small_net(4)
         rng = np.random.default_rng(5)
